@@ -42,15 +42,6 @@ def _flip(terms):
     return tuple((-c, r, l) for c, l, r in terms)
 
 
-def _x_kind(kind: str) -> bool:
-    return kind == "x"
-
-
-def _uv_partner(kind: str) -> str:
-    # z rows share the y-row shape; both are epsilon = -1 letters.
-    return kind
-
-
 @lru_cache(maxsize=None)
 def _table_cycle_pair(m: int, k1: str, r: int, k2: str, s: int):
     """Bracket of two cycle letters from one alphabet ({x,y} or {x,z})."""

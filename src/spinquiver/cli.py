@@ -20,8 +20,8 @@ import numpy as np
 from . import io as sqio
 from .engine import PointEngine
 from .errors import SpinQuiverError, ZeroParameter
-from .families import (family_gradients, family_value, independence_rank,
-                       total_matrices)
+from .families import (cycle_blocks, family_gradients, family_value,
+                       independence_rank, total_matrices)
 from .flows import FlowSpec, closed_form_flow, ode_oracle
 from .params import ModelSpec, check_regularity, derive_params
 from .points import (moment_residual, random_coordinates, random_point, spin_data)
@@ -183,20 +183,18 @@ def cmd_verify(args) -> int:
     report.add("moment-residual-framing", "moment-condition-framing",
                residuals[-1], tols["moment"] * scale)
 
-    tm = total_matrices(point)
     n = spec.n
+    theta = cycle_blocks("e", total_matrices(point).Theta, spec.m)
     for s in range(1, spec.m):
-        block = tm.Theta[s * n:(s + 1) * n, s * n:(s + 1) * n]
         report.add(f"theta-block-{s}", "cycle-moment-decomposition",
-                   float(np.linalg.norm(block - params.q[s] * np.eye(n))),
+                   float(np.linalg.norm(theta[s] - params.q[s] * np.eye(n))),
                    tols["theta"] * scale)
     if point.Z is not None:
         sd = spin_data(point, params)
-        theta0 = tm.Theta[0:n, 0:n]
         pred = params.q[0] * (np.eye(n) + params.t * sd.Am @ sd.Cm
                               @ np.linalg.inv(point.Z[spec.m - 1]))
         report.add("theta-block-0", "cycle-moment-spin-block",
-                   float(np.linalg.norm(theta0 - pred)), tols["theta"] * scale)
+                   float(np.linalg.norm(theta[0] - pred)), tols["theta"] * scale)
         # spin-data consistency: framing vectors reconstruct from (Am, Cm)
         west = [sd.Am[:, a].reshape(n, 1) for a in range(spec.d)]
         acc = np.eye(n, dtype=complex)

@@ -1,34 +1,42 @@
 """Evaluation of words and brackets at a representation point.
 
-Everything lives in the total space C^(m n + 1): block v of size n for each
-cycle vertex v and a final 1-dimensional block for the framing vertex.  A
-letter evaluates to the total matrix supported on its (tail, head) block, so
-a word evaluates to a plain left-to-right matrix product and incomposable
-products vanish automatically.
+Every letter lives on one (tail, head) block of the point, the vertices that
+words.letter_tail_head gives: an n x n block between cycle vertices, a 1 x n
+row or n x 1 column between vertex 0 and the framing vertex, an identity
+block for an idempotent.  A word evaluates to the product of its letter
+blocks on (tail of its first letter, head of its last); it is zero when its
+letters do not compose, which words.word_tail_head decides before any product
+is formed.  Gradient dictionaries map each base letter to a block of that
+letter's shape.  The total space C^(m n + 1), block v of size n for each cycle
+vertex and a final 1-dimensional block for the framing vertex, is only the
+output of the public eval_* methods and loday_matrix.
 
 Bracket values between trace functions are computed two ways:
 
 * the word route: Leibniz expansion of the double bracket over letter pairs,
-  each tensor term contributing tr(prefix2 . L . suffix1 . prefix1 . R . suffix2);
+  each tensor term contributing tr(prefix2 . L . rest1 . R . suffix2), where
+  rest1 is what remains of the closed word 1 around its bracketed letter;
 * the gradient route: matrix gradients of the two functions with respect to
   the base generators contracted against the generator-pair table, which is
   the induced antisymmetric biderivation on the representation space.
 
-The two agree (tested); the gradient route is what makes large Hamiltonian
-families affordable.
+Both routes read one cached block evaluation of the generator-pair table.
+Its terms are multiplied without checking vertices: a term {{a, b}} has its
+left word on (tail b, head a) and its right word on (tail a, head b), which
+the tests check over the whole table.  The two routes agree (tested); the
+gradient route is what makes large Hamiltonian families affordable.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .brackets import generator_bracket, phi_word_terms, trace_bracket_symbolic
+from .brackets import (_INVERSE_OF, generator_bracket, phi_word_terms,
+                       trace_bracket_symbolic)
 from .errors import SingularFactor
 from .params import ParameterSet
 from .points import RepPoint
-from .words import WordSum, letter_tail_head
-
-_INVERSE_OF = {"xi": "x", "yi": "y", "zi": "z"}
+from .words import WordSum, letter_tail_head, word_tail_head
 
 
 def _as_wordsum(w) -> WordSum:
@@ -38,7 +46,7 @@ def _as_wordsum(w) -> WordSum:
 
 
 class PointEngine:
-    """Caches letter evaluations and evaluated bracket-table terms for one point."""
+    """Caches letter blocks and evaluated bracket-table terms for one point."""
 
     def __init__(self, point: RepPoint, params: ParameterSet | None = None):
         self.point = point
@@ -61,54 +69,39 @@ class PointEngine:
         out[self.block(tail), self.block(head)] = mat
         return out
 
-    def block_of(self, total: np.ndarray, tail: int, head: int) -> np.ndarray:
-        return total[self.block(tail), self.block(head)]
+    def _eye(self, v: int) -> np.ndarray:
+        return np.eye(1 if v == self.m else self.n)
 
-    # -- letter / word evaluation ----------------------------------------
+    # -- letter / word blocks ---------------------------------------------
 
-    def eval_letter(self, letter) -> np.ndarray:
+    def letter_block(self, letter) -> np.ndarray:
+        """The block of a letter on its (tail, head) vertices."""
         cached = self._letter_cache.get(letter)
         if cached is not None:
             return cached
         kind = letter[0]
-        m, p = self.m, self.point
+        p = self.point
         if kind == "x":
-            s = letter[1] % m
-            out = self.embed(p.X[s], s, (s + 1) % m)
+            out = p.X[letter[1] % self.m]
         elif kind == "y":
-            s = letter[1] % m
-            out = self.embed(p.Y[s], (s + 1) % m, s)
+            out = p.Y[letter[1] % self.m]
         elif kind == "z":
-            s = letter[1] % m
-            out = self.embed(p.require_Z()[s], (s + 1) % m, s)
+            out = p.require_Z()[letter[1] % self.m]
         elif kind in _INVERSE_OF:
-            s = letter[1] % m
-            sp = (s + 1) % m
-            if kind == "xi":
-                base, tail, head = p.X[s], sp, s
-            elif kind == "yi":
-                base, tail, head = p.Y[s], s, sp
-            else:
-                base, tail, head = p.require_Z()[s], s, sp
             try:
-                out = self.embed(np.linalg.inv(base), tail, head)
+                out = np.linalg.inv(self.letter_block((_INVERSE_OF[kind], letter[1])))
             except np.linalg.LinAlgError as exc:
                 raise SingularFactor(f"letter {letter} has no inverse") from exc
         elif kind == "v":
-            out = self.embed(p.V[letter[1] - 1], m, 0)
+            out = p.V[letter[1] - 1]
         elif kind == "w":
-            out = self.embed(p.W[letter[1] - 1], 0, m)
+            out = p.W[letter[1] - 1]
         elif kind == "e":
-            v = letter[1]
-            size = 1 if v == m else self.n
-            out = self.embed(np.eye(size), v, v)
+            out = self._eye(letter[1])
         elif kind == "uinv":
             v = letter[1]
-            size = 1 if v == m else self.n
-            inner = self.eval_word(letter[2])
-            blockmat = np.eye(size) + self.block_of(inner, v, v)
             try:
-                out = self.embed(np.linalg.inv(blockmat), v, v)
+                out = np.linalg.inv(self._eye(v) + self._word(letter[2])[2])
             except np.linalg.LinAlgError as exc:
                 raise SingularFactor(f"unit-plus-word letter at vertex {v} singular") from exc
         else:
@@ -116,11 +109,85 @@ class PointEngine:
         self._letter_cache[letter] = out
         return out
 
+    def _word(self, word):
+        """(tail, head, block) of a word, or None when its letters do not compose."""
+        th = word_tail_head(word, self.m)
+        if th is None:
+            return None
+        out = self.letter_block(word[0])
+        for letter in word[1:]:
+            out = out @ self.letter_block(letter)
+        return th[0], th[1], out
+
+    def _partials(self, word):
+        """((tail, head), prefixes, suffixes) of a composable word, or None.
+
+        pre[i] is the product of the letters before i and suf[i] of the
+        letters from i on; the empty products are identities on the tail and
+        the head.
+        """
+        th = word_tail_head(word, self.m)
+        if th is None:
+            return None
+        blocks = [self.letter_block(l) for l in word]
+        pre = [self._eye(th[0])]
+        for mat in blocks:
+            pre.append(pre[-1] @ mat)
+        suf = [self._eye(th[1])]
+        for mat in reversed(blocks):
+            suf.append(mat @ suf[-1])
+        suf.reverse()
+        return th, pre, suf
+
+    def _rests(self, word):
+        """Per letter of a closed word, the block of the other letters.
+
+        Entry i is the product of the letters after i followed by those before
+        it, a block from the head of letter i to its tail.  None when the word
+        is not closed, since then every trace term vanishes.
+        """
+        parts = self._partials(word)
+        if parts is None or parts[0][0] != parts[0][1]:
+            return None
+        _, pre, suf = parts
+        return [suf[i + 1] @ pre[i] for i in range(len(word))]
+
+    def _pair_terms(self, g1, g2):
+        """Terms of {{g1, g2}} as (coeff, left block, right block), cached."""
+        key = (g1, g2)
+        cached = self._pair_cache.get(key)
+        if cached is None:
+            cached = self._pair_cache[key] = tuple(
+                (c, self._word(left)[2], self._word(right)[2])
+                for c, left, right in generator_bracket(self.m, g1, g2))
+        return cached
+
+    def trace_word(self, word) -> complex:
+        if not word:
+            return complex(self.N)
+        path = self._word(word)
+        if path is None or path[0] != path[1]:
+            return 0j
+        return complex(np.trace(path[2]))
+
+    def trace_wordsum(self, ws) -> complex:
+        return complex(sum(c * self.trace_word(w) for c, w in _as_wordsum(ws)))
+
+    # -- total-space values -------------------------------------------------
+
+    def eval_letter(self, letter) -> np.ndarray:
+        tail, head = letter_tail_head(letter, self.m)
+        return self.embed(self.letter_block(letter), tail, head)
+
     def eval_word(self, word) -> np.ndarray:
-        out = np.eye(self.N, dtype=complex)
-        for letter in word:
-            out = out @ self.eval_letter(letter)
-        return out
+        """Total matrix of a word; the empty word is the identity."""
+        if not word:
+            return np.eye(self.N, dtype=complex)
+        path = self._word(word)
+        if path is None:
+            return np.zeros((self.N, self.N), dtype=complex)
+        tail, head, mat = path
+        return self.embed(mat, tail, head)
 
     def eval_wordsum(self, ws) -> np.ndarray:
         total = np.zeros((self.N, self.N), dtype=complex)
@@ -128,41 +195,18 @@ class PointEngine:
             total += c * self.eval_word(w)
         return total
 
-    def trace_word(self, word) -> complex:
-        return complex(np.trace(self.eval_word(word)))
-
-    def trace_wordsum(self, ws) -> complex:
-        return complex(np.trace(self.eval_wordsum(ws)))
-
-    def _prefix_suffix(self, word):
-        evals = [self.eval_letter(l) for l in word]
-        pre = [np.eye(self.N, dtype=complex)]
-        for mat in evals:
-            pre.append(pre[-1] @ mat)
-        suf = [np.eye(self.N, dtype=complex)]
-        for mat in reversed(evals):
-            suf.append(mat @ suf[-1])
-        suf.reverse()
-        # pre[i] = product of letters < i, suf[i+1] = product of letters > i
-        return evals, pre, suf
-
     # -- bracket values: word route ---------------------------------------
 
     def _trace_bracket_words(self, w1, w2) -> complex:
-        w1, w2 = tuple(w1), tuple(w2)
-        _, pre1, suf1 = self._prefix_suffix(w1)
-        _, pre2, suf2 = self._prefix_suffix(w2)
+        rests1, parts2 = self._rests(w1), self._partials(w2)
+        if rests1 is None or parts2 is None or parts2[0][0] != parts2[0][1]:
+            return 0j
+        _, pre2, suf2 = parts2
         total = 0.0 + 0.0j
-        for i, a in enumerate(w1):
-            mid1 = suf1[i + 1] @ pre1[i]
+        for a, rest1 in zip(w1, rests1):
             for j, b in enumerate(w2):
-                terms = generator_bracket(self.m, a, b)
-                if not terms:
-                    continue
-                for c, left, right in terms:
-                    lmat = pre2[j] @ self.eval_word(left) @ mid1
-                    rmat = self.eval_word(right) @ suf2[j + 1]
-                    total += c * np.trace(lmat @ rmat)
+                for c, L, R in self._pair_terms(a, b):
+                    total += c * np.trace((pre2[j] @ L @ rest1) @ (R @ suf2[j + 1]))
         return complex(total)
 
     def trace_bracket_value(self, w1, w2) -> complex:
@@ -178,16 +222,19 @@ class PointEngine:
         """Total matrix of the Loday bracket {w1, w2} for word sums."""
         out = np.zeros((self.N, self.N), dtype=complex)
         for c1, a in _as_wordsum(w1):
-            _, pre1, suf1 = self._prefix_suffix(a)
+            rests = self._rests(a)
+            if rests is None:
+                continue
             for c2, b in _as_wordsum(w2):
-                _, pre2, suf2 = self._prefix_suffix(b)
-                for i, ai in enumerate(a):
-                    mid1 = suf1[i + 1] @ pre1[i]
+                parts = self._partials(b)
+                if parts is None:
+                    continue
+                (tail, head), pre, suf = parts
+                for ai, rest in zip(a, rests):
                     for j, bj in enumerate(b):
-                        for c, left, right in generator_bracket(self.m, ai, bj):
-                            out += (c1 * c2 * c) * (
-                                pre2[j] @ self.eval_word(left) @ mid1
-                                @ self.eval_word(right) @ suf2[j + 1])
+                        for c, L, R in self._pair_terms(ai, bj):
+                            out += self.embed((c1 * c2 * c) * (
+                                pre[j] @ L @ rest @ R @ suf[j + 1]), tail, head)
         return out
 
     def bracket_trace_matrix(self, w, g) -> np.ndarray:
@@ -198,13 +245,8 @@ class PointEngine:
 
     # -- bracket values: gradient route ------------------------------------
 
-    def _mask_to_block(self, mat, letter) -> np.ndarray:
-        t, h = letter_tail_head(letter, self.m)
-        out = np.zeros((self.N, self.N), dtype=complex)
-        out[self.block(t), self.block(h)] = mat[self.block(t), self.block(h)]
-        return out
-
     def _accumulate_letter_grad(self, letter, Q, grads) -> None:
+        """Add Q, the transposed gradient of a letter, to its base generators."""
         kind = letter[0]
         if kind == "e":
             return
@@ -215,43 +257,34 @@ class PointEngine:
         if kind == "z":
             s = letter[1]
             self._accumulate_letter_grad(("y", s), Q, grads)
-            xi = self.eval_letter(("xi", s))
+            xi = self.letter_block(("xi", s))
             self._accumulate_letter_grad(("x", s), -(xi @ Q @ xi), grads)
             return
         if kind in _INVERSE_OF:
-            inv = self.eval_letter(letter)
+            inv = self.letter_block(letter)
             self._accumulate_letter_grad((_INVERSE_OF[kind], letter[1]),
                                          -(inv @ Q @ inv), grads)
             return
         if kind == "uinv":
-            u = self.eval_letter(letter)
+            u = self.letter_block(letter)
             q_inner = -(u @ Q @ u)
             inner = letter[2]
-            _, pre, suf = self._prefix_suffix(inner)
+            _, pre, suf = self._partials(inner)
             for i, l in enumerate(inner):
                 self._accumulate_letter_grad(l, suf[i + 1] @ q_inner @ pre[i], grads)
             return
         raise ValueError(f"unknown letter {letter!r}")
 
     def grad_trace_wordsum(self, ws) -> dict:
-        """Gradients D[g][i, j] = d tr(ws) / d g_ij over the base generators."""
+        """Gradient blocks D[g][i, j] = d tr(ws) / d g_ij over the base generators."""
         accQ: dict = {}
         for cw, word in _as_wordsum(ws):
-            _, pre, suf = self._prefix_suffix(word)
-            for i, l in enumerate(word):
-                self._accumulate_letter_grad(l, cw * (suf[i + 1] @ pre[i]), accQ)
-        return {g: self._mask_to_block(np.transpose(Q), g) for g, Q in accQ.items()}
-
-    def _pair_terms_eval(self, g1, g2):
-        key = (g1, g2)
-        cached = self._pair_cache.get(key)
-        if cached is None:
-            cached = tuple(
-                (c, self.eval_word(left).T.copy(), self.eval_word(right).T.copy())
-                for c, left, right in generator_bracket(self.m, g1, g2)
-            )
-            self._pair_cache[key] = cached
-        return cached
+            rests = self._rests(word)
+            if rests is None:
+                continue
+            for l, rest in zip(word, rests):
+                self._accumulate_letter_grad(l, cw * rest, accQ)
+        return {g: Q.T for g, Q in accQ.items()}
 
     def bracket_gradients(self, gradF: dict, gradG: dict,
                           with_mass: bool = False):
@@ -268,8 +301,8 @@ class PointEngine:
         mass = 0.0
         for a, Da in gradF.items():
             for b, Db in gradG.items():
-                for c, lT, rT in self._pair_terms_eval(a, b):
-                    term = c * np.trace(Da @ lT @ Db @ rT)
+                for c, L, R in self._pair_terms(a, b):
+                    term = c * np.trace(Da @ L.T @ Db @ R.T)
                     total += term
                     mass += abs(term)
         if with_mass:
@@ -289,28 +322,35 @@ class PointEngine:
     def moment_property_residual(self, s, g) -> float:
         """Max-norm gap between {{Phi_s, g}} and its multiplicative-moment form.
 
-        Both sides are compared as the 4-index arrays induced on the total
-        space, entry [u, j, i, v] = sum of coeff * left[u, j] * right[i, v].
+        Both sides are 4-index arrays, entry [u, j, i, v] = sum of
+        coeff * left[u, j] * right[i, v], compared per (left tail, left head,
+        right tail, right head) key; a key one side lacks is zero there.
         """
         if s == "inf":
             s = self.m
-        N = self.N
-        lhs = np.zeros((N, N, N, N), dtype=complex)
-        for cw, word in self.moment_word_sum(s):
-            _, pre, suf = self._prefix_suffix(word)
+        gt, gh = letter_tail_head(g, self.m)
+        gap: dict = {}
+
+        def add(key, coeff, left, right):
+            term = coeff * np.multiply.outer(left, right)
+            gap[key] = gap[key] + term if key in gap else term
+
+        phi_words = self.moment_word_sum(s)
+        for cw, word in phi_words:
+            # word is closed at s, L runs from tail g to head a, R from tail a to head g
+            _, pre, suf = self._partials(word)
             for i, a in enumerate(word):
-                for c, left, right in generator_bracket(self.m, a, g):
-                    lfull = self.eval_word(left) @ suf[i + 1]
-                    rfull = pre[i] @ self.eval_word(right)
-                    lhs += (cw * c) * np.multiply.outer(lfull, rfull)
-        phi = self.eval_wordsum(self.moment_word_sum(s))
-        E = self.eval_letter(("e", s))
-        G = self.eval_letter(g)
-        rhs = 0.5 * (np.multiply.outer(G @ E, phi)
-                     - np.multiply.outer(E, phi @ G)
-                     + np.multiply.outer(G @ phi, E)
-                     - np.multiply.outer(phi, E @ G))
-        return float(np.max(np.abs(lhs - rhs)))
+                for c, L, R in self._pair_terms(a, g):
+                    add((gt, s, s, gh), cw * c, L @ suf[i + 1], pre[i] @ R)
+        phi = sum(c * self._word(w)[2] for c, w in phi_words)
+        G, E = self.letter_block(g), self._eye(s)
+        if gh == s:
+            add((gt, s, s, s), -0.5, G, phi)
+            add((gt, s, s, s), -0.5, G @ phi, E)
+        if gt == s:
+            add((s, s, s, gh), 0.5, E, phi @ G)
+            add((s, s, s, gh), 0.5, phi, G)
+        return max((float(np.max(np.abs(arr))) for arr in gap.values()), default=0.0)
 
     def jacobiator(self, w1, w2, w3) -> complex:
         """{tr w1, {tr w2, tr w3}} + cyclic, via one symbolic nesting level."""

@@ -22,7 +22,7 @@ from .engine import PointEngine
 from .errors import IllConditioned, SingularFactor
 from .params import ParameterSet
 from .points import LocalCoordinates, RepPoint, ReducedQuadruple, quadruple_from_coordinates
-from .words import WordSum
+from .words import WordSum, letter_tail_head
 
 FAMILIES = (1, 2, 3, 4)
 
@@ -54,33 +54,40 @@ class EtaPolynomial:
         return out
 
 
+def cycle_total(kind: str, blocks) -> np.ndarray:
+    """The m n x m n cycle matrix holding block s where the letter (kind, s) sits."""
+    m, n = len(blocks), blocks[0].shape[0]
+    out = np.zeros((m * n, m * n), dtype=complex)
+    for s, mat in enumerate(blocks):
+        tail, head = letter_tail_head((kind, s), m)
+        out[tail * n:(tail + 1) * n, head * n:(head + 1) * n] = mat
+    return out
+
+
+def cycle_blocks(kind: str, total: np.ndarray, m: int) -> list:
+    """The m blocks of a cycle matrix where the letters (kind, s) sit; inverts cycle_total."""
+    n = total.shape[0] // m
+    out = []
+    for s in range(m):
+        tail, head = letter_tail_head((kind, s), m)
+        out.append(total[tail * n:(tail + 1) * n, head * n:(head + 1) * n])
+    return out
+
+
 def total_matrices(point: RepPoint) -> TotalMatrices:
     """Assemble Xt, Yt, Zt and the block-diagonal Theta from the point blocks."""
-    m, n = point.spec.m, point.spec.n
-    N = m * n
-    Xt = np.zeros((N, N), dtype=complex)
-    Yt = np.zeros((N, N), dtype=complex)
-    for s in range(m):
-        sp = (s + 1) % m
-        Xt[s * n:(s + 1) * n, sp * n:(sp + 1) * n] = point.X[s]
-        Yt[sp * n:(sp + 1) * n, s * n:(s + 1) * n] = point.Y[s]
-    Zt = None
-    if point.Z is not None:
-        Zt = np.zeros((N, N), dtype=complex)
-        for s in range(m):
-            sp = (s + 1) % m
-            Zt[sp * n:(sp + 1) * n, s * n:(s + 1) * n] = point.Z[s]
-    eye = np.eye(n)
-    Theta = np.zeros((N, N), dtype=complex)
-    for s in range(m):
-        prev = (s - 1) % m
+    eye = np.eye(point.spec.n)
+    theta = []
+    for s in range(point.spec.m):
+        prev = (s - 1) % point.spec.m
         den = eye + point.Y[prev] @ point.X[prev]
         try:
-            block = (eye + point.X[s] @ point.Y[s]) @ np.linalg.inv(den)
+            theta.append((eye + point.X[s] @ point.Y[s]) @ np.linalg.inv(den))
         except np.linalg.LinAlgError as exc:
             raise SingularFactor(f"Id + Y_{prev} X_{prev} is singular") from exc
-        Theta[s * n:(s + 1) * n, s * n:(s + 1) * n] = block
-    return TotalMatrices(Xt=Xt, Yt=Yt, Zt=Zt, Theta=Theta)
+    return TotalMatrices(Xt=cycle_total("x", point.X), Yt=cycle_total("y", point.Y),
+                         Zt=None if point.Z is None else cycle_total("z", point.Z),
+                         Theta=cycle_total("e", theta))
 
 
 def _family_matrix(tm: TotalMatrices, family: int, eta: complex) -> np.ndarray:
@@ -109,7 +116,8 @@ def family_value(point: RepPoint, family: int, j: int, eta: complex) -> complex:
 def family_gradients(eng: PointEngine, family: int, j: int, eta: complex) -> dict:
     """Matrix gradients of the family value over the base generators x_s, y_s.
 
-    Returned as the D-dictionary consumed by PointEngine.bracket_gradients.
+    Returned as the D-dictionary of letter blocks consumed by
+    PointEngine.bracket_gradients.
     """
     point = eng.point
     tm = total_matrices(point)
@@ -158,20 +166,18 @@ def family_gradients(eng: PointEngine, family: int, j: int, eta: complex) -> dic
     Q_X += Y @ Winv @ S - Winv @ S @ Theta @ Y
     Q_Y += Winv @ S @ X - X @ Winv @ S @ Theta
 
-    return _cycle_grads_to_letters(eng, Q_X, Q_Y)
+    return _cycle_grads(eng.m, Q_X, Q_Y)
 
 
-def _cycle_grads_to_letters(eng: PointEngine, Q_X: np.ndarray, Q_Y: np.ndarray) -> dict:
-    m, n = eng.m, eng.n
+def _cycle_grads(m: int, Q_X: np.ndarray, Q_Y: np.ndarray) -> dict:
+    """Gradient blocks of x_s and y_s from cycle-space Q = (dF/dXt)^T, (dF/dYt)^T."""
+    dx, dy = cycle_blocks("x", Q_X.T, m), cycle_blocks("y", Q_Y.T, m)
     grads = {}
     for s in range(m):
-        sp = (s + 1) % m
-        dx = Q_X[sp * n:(sp + 1) * n, s * n:(s + 1) * n].T
-        dy = Q_Y[s * n:(s + 1) * n, sp * n:(sp + 1) * n].T
-        if np.any(dx):
-            grads[("x", s)] = eng.embed(dx, s, sp)
-        if np.any(dy):
-            grads[("y", s)] = eng.embed(dy, sp, s)
+        if np.any(dx[s]):
+            grads[("x", s)] = dx[s]
+        if np.any(dy[s]):
+            grads[("y", s)] = dy[s]
     return grads
 
 
@@ -552,114 +558,77 @@ def independence_rank(coords: LocalCoordinates, family: str, params: ParameterSe
 
 # -- degenerate integrability ---------------------------------------------------
 
-def _u_total(eng: PointEngine, kind: str) -> np.ndarray:
-    out = np.zeros((eng.N, eng.N), dtype=complex)
-    if kind in ("x", "y", "z"):
-        for s in range(eng.m):
-            out += eng.eval_letter((kind, s))
-        return out
+def _u_total(point: RepPoint, kind: str) -> np.ndarray:
+    """The cycle total U of kind x, y, z or t = 1 + XY."""
+    if kind == "x":
+        return cycle_total("x", point.X)
+    if kind == "y":
+        return cycle_total("y", point.Y)
+    if kind == "z":
+        return cycle_total("z", point.require_Z())
     if kind == "t":
-        for s in range(eng.m):
-            out += eng.eval_letter(("x", s)) @ eng.eval_letter(("y", s))
-            out += eng.eval_letter(("e", s))
-        return out
+        return np.eye(point.spec.m * point.spec.n) + _u_total(point, "x") @ _u_total(point, "y")
     raise ValueError(f"unknown total kind {kind!r}")
 
 
 def qu_generator(point: RepPoint, alpha: int, beta: int, ell: int, U: str,
                  engine: PointEngine | None = None) -> complex:
-    """tr(W_alpha V_beta U^(l m)) with the vertex-0 vectors embedded in the total space."""
+    """tr(W_alpha V_beta U^(l m)), the framing vectors meeting the vertex-0 block of U^(l m)."""
     eng = engine or PointEngine(point)
-    W = eng.eval_letter(("w", alpha))
-    V = eng.eval_letter(("v", beta))
     power = ell * eng.m if U in ("x", "y", "z") else ell
-    Um = np.linalg.matrix_power(_u_total(eng, U), power)
-    return complex(np.trace(W @ V @ Um))
+    U00 = cycle_blocks("e", np.linalg.matrix_power(_u_total(point, U), power), eng.m)[0]
+    W, V = eng.letter_block(("w", alpha)), eng.letter_block(("v", beta))
+    return complex(np.trace(W @ V @ U00))
 
 
 def qu_gradients(point: RepPoint, alpha: int, beta: int, ell: int, U: str,
                  engine: PointEngine | None = None) -> dict:
     """Gradient dictionary of tr(W_alpha V_beta U^(l m)) over the base generators."""
     eng = engine or PointEngine(point)
-    W = eng.eval_letter(("w", alpha))
-    V = eng.eval_letter(("v", beta))
-    Ut = _u_total(eng, U)
-    K = ell * eng.m if U in ("x", "y", "z") else ell
-    WV = W @ V
-    Q_W = V @ np.linalg.matrix_power(Ut, K)
-    Q_V = np.linalg.matrix_power(Ut, K) @ W
-    Q_U = np.zeros((eng.N, eng.N), dtype=complex)
+    m, n = eng.m, eng.n
+    W, V = eng.letter_block(("w", alpha)), eng.letter_block(("v", beta))
+    Ut = _u_total(point, U)
+    K = ell * m if U in ("x", "y", "z") else ell
+    UK00 = cycle_blocks("e", np.linalg.matrix_power(Ut, K), m)[0]
+    WV = cycle_total("e", [W @ V] + [np.zeros((n, n))] * (m - 1))
+    Q_U = np.zeros_like(Ut)
     for p in range(K):
         Q_U += np.linalg.matrix_power(Ut, K - 1 - p) @ WV @ np.linalg.matrix_power(Ut, p)
-    return _distribute_u_grad(eng, U, Q_U, extra={("w", alpha): Q_W, ("v", beta): Q_V})
+    grads = _distribute_u_grad(eng, U, Q_U)
+    grads[("w", alpha)] = (V @ UK00).T
+    grads[("v", beta)] = (UK00 @ W).T
+    return grads
 
 
 def power_trace_gradients(point: RepPoint, U: str, K: int,
                           engine: PointEngine | None = None) -> dict:
     """Gradient dictionary of tr U^K for U in {x, y, z, t=1+xy} total matrices."""
     eng = engine or PointEngine(point)
-    Ut = _u_total(eng, U)
-    Q_U = K * np.linalg.matrix_power(Ut, K - 1)
+    Q_U = K * np.linalg.matrix_power(_u_total(point, U), K - 1)
     return _distribute_u_grad(eng, U, Q_U)
 
 
-def _distribute_u_grad(eng: PointEngine, U: str, Q_U: np.ndarray,
-                       extra: dict | None = None) -> dict:
-    accQ: dict = {}
-
-    def add(key, mat):
-        accQ[key] = accQ.get(key, 0.0) + mat
-
+def _distribute_u_grad(eng: PointEngine, U: str, Q_U: np.ndarray) -> dict:
+    """Chain Q_U = (dF/dU)^T through U to the x_s and y_s gradient blocks."""
     if U == "x":
-        for s in range(eng.m):
-            add(("x", s), Q_U)
-    elif U == "y":
-        for s in range(eng.m):
-            add(("y", s), Q_U)
-    elif U == "z":
-        Xinv = np.zeros((eng.N, eng.N), dtype=complex)
-        for s in range(eng.m):
-            Xinv += eng.eval_letter(("xi", s))
-        sandwich = -(Xinv @ Q_U @ Xinv)
-        for s in range(eng.m):
-            add(("y", s), Q_U)
-            add(("x", s), sandwich)
-    elif U == "t":
-        Xt = _u_total(eng, "x")
-        Yt = _u_total(eng, "y")
-        for s in range(eng.m):
-            add(("x", s), Yt @ Q_U)
-            add(("y", s), Q_U @ Xt)
-    else:
-        raise ValueError(f"unknown total kind {U!r}")
-    if extra:
-        for key, mat in extra.items():
-            add(key, mat)
-    return {g: eng._mask_to_block(np.transpose(Q), g) for g, Q in accQ.items()}
+        return _cycle_grads(eng.m, Q_U, np.zeros_like(Q_U))
+    if U == "y":
+        return _cycle_grads(eng.m, np.zeros_like(Q_U), Q_U)
+    if U == "z":
+        Xinv = cycle_total("xi", [eng.letter_block(("xi", s)) for s in range(eng.m)])
+        return _cycle_grads(eng.m, -(Xinv @ Q_U @ Xinv), Q_U)
+    if U == "t":
+        return _cycle_grads(eng.m, _u_total(eng.point, "y") @ Q_U,
+                            Q_U @ _u_total(eng.point, "x"))
+    raise ValueError(f"unknown total kind {U!r}")
 
 
 def _flatten_grads(eng: PointEngine, grads: dict) -> np.ndarray:
-    out = []
-    for kind in ("x", "y"):
-        for s in range(eng.m):
-            key = (kind, s)
-            mat = grads.get(key)
-            if mat is None:
-                out.append(np.zeros(eng.n * eng.n, dtype=complex))
-            else:
-                t, h = (s, (s + 1) % eng.m) if kind == "x" else ((s + 1) % eng.m, s)
-                out.append(mat[eng.block(t), eng.block(h)].reshape(-1))
-    for kind, shape in (("v", eng.n), ("w", eng.n)):
-        for a in range(1, eng.d + 1):
-            key = (kind, a)
-            mat = grads.get(key)
-            if mat is None:
-                out.append(np.zeros(shape, dtype=complex))
-            elif kind == "v":
-                out.append(mat[eng.block(eng.m), eng.block(0)].reshape(-1))
-            else:
-                out.append(mat[eng.block(0), eng.block(eng.m)].reshape(-1))
-    return np.concatenate(out)
+    keys = [(kind, s) for kind in ("x", "y") for s in range(eng.m)]
+    keys += [(kind, a) for kind in ("v", "w") for a in range(1, eng.d + 1)]
+    return np.concatenate([grads[g].reshape(-1) if g in grads
+                           else np.zeros(eng.letter_block(g).size, dtype=complex)
+                           for g in keys])
 
 
 def cy2_rank(point: RepPoint, U: str, sv_tol: float = 1e-7,
@@ -697,22 +666,18 @@ def spect_residual(point: RepPoint, params: ParameterSet, U: str) -> float:
     M (U^m)_{11} M^(-1) = t Omega (U^m)_{00}.
     """
     from .points import framing_product
-    eng = PointEngine(point, params)
-    n, m = eng.n, eng.m
+    m = point.spec.m
     if U == "z":
         Mmat = point.X[0]
-        Ut = _u_total(eng, "z")
     elif U == "y":
         try:
             Mmat = point.X[0] + np.linalg.inv(point.Y[0])
         except np.linalg.LinAlgError as exc:
             raise SingularFactor("Y_0 not invertible") from exc
-        Ut = _u_total(eng, "y")
     else:
         raise ValueError("U must be 'y' or 'z'")
-    Um = np.linalg.matrix_power(Ut, m)
-    blk0 = Um[eng.block(0), eng.block(0)]
-    blk1 = Um[eng.block(1 % m), eng.block(1 % m)]
+    diag = cycle_blocks("e", np.linalg.matrix_power(_u_total(point, U), m), m)
+    blk0, blk1 = diag[0], diag[1 % m]
     try:
         lhs = Mmat @ blk1 @ np.linalg.inv(Mmat)
     except np.linalg.LinAlgError as exc:

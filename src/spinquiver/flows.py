@@ -23,7 +23,7 @@ import scipy.linalg
 from .errors import SingularFactor
 from .params import ParameterSet
 from .points import RepPoint, _readonly
-from .families import total_matrices
+from .families import cycle_blocks, total_matrices
 
 _COND_LIMIT = 1e8
 
@@ -66,18 +66,6 @@ class FlowSpec:
             raise ValueError("power k must be >= 1")
 
 
-def _blocks_from_total(total: np.ndarray, m: int, n: int, forward: bool):
-    """Extract cycle blocks; forward = (s, s+1) pattern, else (s+1, s)."""
-    out = []
-    for s in range(m):
-        sp = (s + 1) % m
-        if forward:
-            out.append(total[s * n:(s + 1) * n, sp * n:(sp + 1) * n])
-        else:
-            out.append(total[sp * n:(sp + 1) * n, s * n:(s + 1) * n])
-    return out
-
-
 def _point_with_XZ(point: RepPoint, Xb, Zb) -> RepPoint:
     spec = point.spec
     Y = [Zb[s] - np.linalg.inv(Xb[s]) for s in range(spec.m)]
@@ -89,22 +77,20 @@ def _point_with_XZ(point: RepPoint, Xb, Zb) -> RepPoint:
 
 def flow_Z(point: RepPoint, k: int, time: complex) -> RepPoint:
     """Closed-form flow of tr Z^k (k a multiple of m); Z, V, W exactly constant."""
-    spec = point.spec
-    m, n = spec.m, spec.n
+    m = point.spec.m
     if k % m:
         raise ValueError("tr Z^k flows need m | k")
     tm = total_matrices(point)
     if tm.Zt is None:
         raise SingularFactor("flow of tr Z^k needs invertible X")
     Xt = tm.Xt @ expm(-time * np.linalg.matrix_power(tm.Zt, k))
-    Xb = _blocks_from_total(Xt, m, n, forward=True)
-    return _point_with_XZ(point, Xb, list(point.Z))
+    return _point_with_XZ(point, cycle_blocks("x", Xt, m), list(point.Z))
 
 
 def flow_Y(point: RepPoint, k: int, time: complex) -> RepPoint:
     """Closed-form flow of tr Y^k (k a multiple of m); Y, V, W exactly constant."""
     spec = point.spec
-    m, n = spec.m, spec.n
+    m = spec.m
     if k % m:
         raise ValueError("tr Y^k flows need m | k")
     tm = total_matrices(point)
@@ -113,8 +99,7 @@ def flow_Y(point: RepPoint, k: int, time: complex) -> RepPoint:
     # Y^(-1)(E - 1) = -time * Y^(k-1) phi1(A), no inversion needed
     second = -time * np.linalg.matrix_power(tm.Yt, k - 1) @ phi1(A)
     Xt = tm.Xt @ E + second
-    Xb = _blocks_from_total(Xt, m, n, forward=True)
-    return RepPoint.make(spec, Xb, point.Y, point.V, point.W)
+    return RepPoint.make(spec, cycle_blocks("x", Xt, m), point.Y, point.V, point.W)
 
 
 def flow_T(point: RepPoint, k: int, time: complex) -> RepPoint:
@@ -125,23 +110,19 @@ def flow_T(point: RepPoint, k: int, time: complex) -> RepPoint:
     N = m * n
     T = np.eye(N) + tm.Xt @ tm.Yt
     Xt = expm(-time * np.linalg.matrix_power(T, k)) @ tm.Xt
-    Xb = _blocks_from_total(Xt, m, n, forward=True)
+    Xb = cycle_blocks("x", Xt, m)
+    Tb = cycle_blocks("e", T, m)
     eye = np.eye(n)
     Yb = []
     for s in range(m):
-        Ts = T[s * n:(s + 1) * n, s * n:(s + 1) * n]
         try:
-            Yb.append(np.linalg.inv(Xb[s]) @ (Ts - eye))
+            Yb.append(np.linalg.inv(Xb[s]) @ (Tb[s] - eye))
         except np.linalg.LinAlgError as exc:
             raise SingularFactor(f"X_{s} singular at flow endpoint") from exc
     return RepPoint.make(spec, Xb, Yb, point.V, point.W)
 
 
 # -- RK4 oracle ---------------------------------------------------------------
-
-def _cycle_identity(m: int, n: int) -> np.ndarray:
-    return np.eye(m * n, dtype=complex)
-
 
 def _theta_from_XZ(Xt, Zt):
     XZ = Xt @ Zt
@@ -217,22 +198,20 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
         state = (tm.Xt.copy(), tm.Zt.copy())
         vf = lambda X, M: _vf_Z(X, M, flow.k, flow.eta)
         rebuild = lambda X, M: _point_with_XZ(
-            point, _blocks_from_total(X, m, n, True), _blocks_from_total(M, m, n, False))
+            point, cycle_blocks("x", X, m), cycle_blocks("z", M, m))
     elif flow.hamiltonian == "trY":
         state = (tm.Xt.copy(), tm.Yt.copy())
         vf = lambda X, M: _vf_Y(X, M, flow.k, flow.eta)
         rebuild = lambda X, M: RepPoint.make(
-            spec, _blocks_from_total(X, m, n, True), _blocks_from_total(M, m, n, False),
-            point.V, point.W)
+            spec, cycle_blocks("x", X, m), cycle_blocks("y", M, m), point.V, point.W)
     else:
-        U0 = _cycle_identity(m, n) + tm.Xt @ tm.Yt
+        U0 = np.eye(m * n, dtype=complex) + tm.Xt @ tm.Yt
         state = (tm.Xt.copy(), U0)
 
         def rebuild_T(X, U):
-            Xb = _blocks_from_total(X, m, n, True)
+            Xb = cycle_blocks("x", X, m)
             eye = np.eye(n)
-            Yb = [np.linalg.inv(Xb[s]) @ (U[s * n:(s + 1) * n, s * n:(s + 1) * n] - eye)
-                  for s in range(m)]
+            Yb = [np.linalg.inv(xb) @ (ub - eye) for xb, ub in zip(Xb, cycle_blocks("e", U, m))]
             return RepPoint.make(spec, Xb, Yb, point.V, point.W)
 
         vf = lambda X, M: _vf_T(X, M, flow.k, flow.eta)

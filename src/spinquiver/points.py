@@ -235,38 +235,13 @@ def point_from_coordinates(coords: LocalCoordinates, params: ParameterSet,
     return point
 
 
-def random_point(spec: ModelSpec, params: ParameterSet, seed: int,
-                 max_tries: int = 1000) -> RepPoint:
-    """Sample an on-shell point; deterministic per seed.
+def _admissible_draws(spec: ModelSpec, params: ParameterSet, seed: int, max_tries: int):
+    """Yield (x, a, c) for each of max_tries draws that passes the cheap screens.
 
     Positions are drawn on the annulus 0.5 <= |x| <= 2 with a 1e-3 margin
-    against regular-locus violations; spins are complex standard normal with
-    a-rows renormalized to unit sum.
+    against regular-locus violations; spins are complex standard normal, and
+    a draw with an a-row summing to less than 0.1 in modulus is skipped.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
-    n, d = spec.n, spec.d
-    t = params.t
-    for _ in range(max_tries):
-        radius = rng.uniform(0.5, 2.0, size=n)
-        angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        x = radius * np.exp(1j * angle)
-        if not check_creg(x, t, margin=1e-3):
-            continue
-        a = (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))) / np.sqrt(2)
-        if np.any(np.abs(a.sum(axis=1)) < 0.1):
-            continue
-        c = (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))) / np.sqrt(2)
-        try:
-            coords = LocalCoordinates.make(x, a, c)
-            return point_from_coordinates(coords, params, spec)
-        except (Degenerate, RegularityViolation, SingularFactor):
-            continue
-    raise SamplingExhausted(f"no admissible point after {max_tries} draws")
-
-
-def random_coordinates(spec: ModelSpec, params: ParameterSet, seed: int,
-                       max_tries: int = 1000) -> LocalCoordinates:
-    """Sample admissible local coordinates with the same scheme as random_point."""
     rng = np.random.Generator(np.random.Philox(seed))
     n, d = spec.n, spec.d
     for _ in range(max_tries):
@@ -279,6 +254,28 @@ def random_coordinates(spec: ModelSpec, params: ParameterSet, seed: int,
         if np.any(np.abs(a.sum(axis=1)) < 0.1):
             continue
         c = (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))) / np.sqrt(2)
+        yield x, a, c
+
+
+def random_point(spec: ModelSpec, params: ParameterSet, seed: int,
+                 max_tries: int = 1000) -> RepPoint:
+    """Sample an on-shell point; deterministic per seed.
+
+    Draws as _admissible_draws describes, with a-rows renormalized to unit
+    sum; a draw whose point cannot be built counts against max_tries.
+    """
+    for x, a, c in _admissible_draws(spec, params, seed, max_tries):
+        try:
+            return point_from_coordinates(LocalCoordinates.make(x, a, c), params, spec)
+        except (Degenerate, RegularityViolation, SingularFactor):
+            continue
+    raise SamplingExhausted(f"no admissible point after {max_tries} draws")
+
+
+def random_coordinates(spec: ModelSpec, params: ParameterSet, seed: int,
+                       max_tries: int = 1000) -> LocalCoordinates:
+    """Sample admissible local coordinates with the same scheme as random_point."""
+    for x, a, c in _admissible_draws(spec, params, seed, max_tries):
         return LocalCoordinates.make(x, a, c)
     raise SamplingExhausted(f"no admissible coordinates after {max_tries} draws")
 

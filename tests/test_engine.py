@@ -5,9 +5,11 @@ import pytest
 
 from spinquiver import PointEngine, cycle_power_sum, spin_trace_word
 from spinquiver.brackets import (double_bracket, generator_bracket, ordering_sign,
+                                 phi_localized_terms, phi_word_terms,
                                  trace_bracket_symbolic)
 from spinquiver.errors import UnknownPair
-from spinquiver.words import WordSum, cprime_word_terms, u_power_word, x_power_word
+from spinquiver.words import (WordSum, cprime_word_terms, is_closed, letter_tail_head,
+                              u_power_word, word_tail_head, x_power_word)
 
 from conftest import make_point
 
@@ -84,6 +86,111 @@ def test_symbolic_x_spin_bracket_single_term():
     expected = (("w", 1),) + cprime_word_terms(1, m)[0][1] + u_power_word("x", k + l, m, m - 1)
     from spinquiver.words import canonical_rotation, simplify_word
     assert word == canonical_rotation(simplify_word(expected, m))
+
+
+def alphabet_letters(m, d, u):
+    """Every letter of one alphabet: cycle letters, their inverses, framing
+    letters, idempotents and the composite inverses of the moment words."""
+    out = [(k, s) for k in ("x", u, "xi", u + "i") for s in range(m)]
+    out += [(k, a) for k in ("v", "w") for a in range(1, d + 1)]
+    out += [("e", v) for v in range(m + 1)]
+    moment = phi_word_terms if u == "y" else phi_localized_terms
+    out += sorted({l for s in range(m + 1) for _, w in moment(m, d, s)
+                   for l in w if l[0] == "uinv"}, key=repr)
+    return out
+
+
+def test_bracket_terms_lie_on_their_blocks():
+    # the engine multiplies table terms without checking vertices, so every
+    # term of {{a, b}} must have its left word on (tail b, head a) and its
+    # right word on (tail a, head b)
+    checked = 0
+    for m in range(1, 5):
+        for d in range(1, 4):
+            for u in ("y", "z"):
+                letters = alphabet_letters(m, d, u)
+                for a in letters:
+                    ta, ha = letter_tail_head(a, m)
+                    for b in letters:
+                        tb, hb = letter_tail_head(b, m)
+                        for c, left, right in generator_bracket(m, a, b):
+                            assert word_tail_head(left, m) == (tb, ha), (m, a, b, left)
+                            assert word_tail_head(right, m) == (ta, hb), (m, a, b, right)
+                            checked += 1
+    assert checked == 12260
+
+
+# -- dense reference: the total-space evaluation the block engine replaced ----
+
+def dense_word(eng, word):
+    """Product of the letters' total matrices, with N x N identities at the ends."""
+    out = np.eye(eng.N, dtype=complex)
+    for letter in word:
+        out = out @ eng.eval_letter(letter)
+    return out
+
+
+def dense_loday_terms(eng, w1, w2):
+    """The total matrices of the terms of the Loday bracket {w1, w2}."""
+    terms = []
+    for i, a in enumerate(w1):
+        mid1 = dense_word(eng, w1[i + 1:]) @ dense_word(eng, w1[:i])
+        for j, b in enumerate(w2):
+            for c, left, right in generator_bracket(eng.m, a, b):
+                terms.append(c * (dense_word(eng, w2[:j]) @ dense_word(eng, left) @ mid1
+                                  @ dense_word(eng, right) @ dense_word(eng, w2[j + 1:])))
+    return terms
+
+
+def random_words(rng, m, d, u):
+    """Closed, open and incomposable words over one alphabet."""
+    letters = alphabet_letters(m, d, u)
+    closed, open_, incomposable = [], [], []
+    while len(closed) < 4 or len(open_) < 3:
+        v = int(rng.integers(m + 1))
+        word = ()
+        for _ in range(int(rng.integers(1, 6))):
+            steps = [l for l in letters if letter_tail_head(l, m)[0] == v]
+            word += (steps[rng.integers(len(steps))],)
+            v = letter_tail_head(word[-1], m)[1]
+        tail, head = word_tail_head(word, m)
+        if tail == head and len(closed) < 4:
+            closed.append(word)
+        elif tail != head and len(open_) < 3:
+            open_.append(word)
+    while len(incomposable) < 2:
+        word = tuple(letters[k] for k in rng.integers(len(letters), size=3))
+        if word_tail_head(word, m) is None:
+            incomposable.append(word)
+    return closed + open_ + incomposable
+
+
+@pytest.mark.parametrize("m,d,n", [(1, 2, 2), (2, 2, 2), (3, 2, 2)])
+def test_block_engine_matches_dense_reference(m, d, n):
+    point, spec, params = make_point(m, d, n, seed=13)
+    eng = PointEngine(point, params)
+    rng = np.random.Generator(np.random.Philox(31 + m))
+    rtol = 1e-12
+    for u in ("y", "z"):
+        words = random_words(rng, m, d, u)
+        for w in words:
+            ref = dense_word(eng, w)
+            assert np.linalg.norm(eng.eval_word(w) - ref) <= rtol * np.linalg.norm(ref)
+            assert abs(eng.trace_word(w) - np.trace(ref)) <= rtol * np.linalg.norm(ref)
+        for w1 in words:
+            for w2 in words:
+                terms = dense_loday_terms(eng, w1, w2)
+                ref = sum(terms, np.zeros((eng.N, eng.N), dtype=complex))
+                mass = sum(np.linalg.norm(t) for t in terms)
+                got = eng.loday_matrix(w1, w2)
+                assert np.linalg.norm(got - ref) <= rtol * mass
+                value = eng.trace_bracket_value(w1, w2)
+                ref_value = sum(np.trace(t) for t in terms)
+                assert abs(value - ref_value) <= rtol * sum(abs(np.trace(t)) for t in terms)
+                if not (is_closed(w1, m) and is_closed(w2, m)):
+                    assert value == 0 and ref_value == 0
+                if not is_closed(w1, m):
+                    assert not np.any(got) and not np.any(ref)
 
 
 @pytest.mark.parametrize("m,d,n", [(1, 2, 2), (2, 2, 2), (3, 2, 2)])

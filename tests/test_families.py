@@ -93,8 +93,7 @@ def test_family_gradients_match_fd(base):
         minus = RepPoint.make(spec, X, point.Y, point.V, point.W)
         fd = (family_value(plus, fam, j, eta) - family_value(minus, fam, j, eta)) / (2 * h)
         D = grads.get(("x", s))
-        analytic = 0.0 if D is None else np.sum(
-            D[eng.block(s), eng.block((s + 1) % spec.m)] * direction)
+        analytic = 0.0 if D is None else np.sum(D * direction)
         assert abs(fd - analytic) < 1e-5 * max(1.0, abs(fd))
 
 

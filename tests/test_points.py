@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from spinquiver import (LocalCoordinates, ModelSpec, derive_params, gauge_act,
-                        moment_residual, point_from_coordinates, random_point,
-                        reduced_quadruple, spin_data)
+                        moment_residual, point_from_coordinates, random_coordinates,
+                        random_point, reduced_quadruple, spin_data)
 from spinquiver.errors import RegularityViolation, SamplingExhausted, SingularX
 from spinquiver.points import quadruple_from_coordinates
 
@@ -86,6 +86,24 @@ def test_sampling_exhausted():
     spec, params = make_setup(2, 2, 2)
     with pytest.raises(SamplingExhausted):
         random_point(spec, params, seed=1, max_tries=0)
+
+
+def test_sampling_exhausted_coordinates():
+    spec, params = make_setup(2, 2, 2)
+    with pytest.raises(SamplingExhausted):
+        random_coordinates(spec, params, seed=1, max_tries=0)
+
+
+def test_random_point_is_built_from_random_coordinates():
+    # with one try, random_point succeeds only if the first draw builds; then
+    # both samplers read the same draw
+    spec, params = make_setup(2, 2, 3)
+    point = random_point(spec, params, seed=4, max_tries=1)
+    rebuilt = point_from_coordinates(random_coordinates(spec, params, seed=4),
+                                     params, spec)
+    for a, b in zip(point.X + point.Y + point.V + point.W + point.Z,
+                    rebuilt.X + rebuilt.Y + rebuilt.V + rebuilt.W + rebuilt.Z):
+        assert np.array_equal(a, b)
 
 
 def test_gauge_identity_and_residual_invariance(rng):
