@@ -11,6 +11,13 @@ second flow is evaluated through an augmented-block exponential, so Y need
 not be invertible.  The oracle integrates the same vector fields (at general
 spectral parameter) with classical RK4; it exists to cross-check the closed
 forms and to drive conservation checks, not as a production integrator.
+
+Each vector field evaluates its eta-terms (Theta or Theta^(-1), the shift
+1 + eta Theta and the eta-weighted part of dX) only when eta != 0.  The
+inverse that defines Theta (of ZX, of 1 + YX, or of X and U) is taken at
+every eta all the same, because it is the oracle's domain test: at eta = 0
+too, a trajectory that leaves the locus where Theta is defined stops there
+with SingularFactor instead of running on.
 """
 
 from __future__ import annotations
@@ -68,7 +75,13 @@ class FlowSpec:
 
 def _point_with_XZ(point: RepPoint, Xb, Zb) -> RepPoint:
     spec = point.spec
-    Y = [Zb[s] - np.linalg.inv(Xb[s]) for s in range(spec.m)]
+    Y = []
+    for s in range(spec.m):
+        try:
+            Y.append(Zb[s] - np.linalg.inv(Xb[s]))
+        except np.linalg.LinAlgError as exc:
+            raise SingularFactor(
+                f"X_{s} singular, so Y_{s} = Z_{s} - X_{s}^(-1) is undefined") from exc
     made = RepPoint.make(spec, Xb, Y, point.V, point.W)
     # keep the conserved matrix bit-identical rather than re-derived
     return RepPoint(spec=spec, X=made.X, Y=made.Y, V=made.V, W=made.W,
@@ -76,7 +89,11 @@ def _point_with_XZ(point: RepPoint, Xb, Zb) -> RepPoint:
 
 
 def flow_Z(point: RepPoint, k: int, time: complex) -> RepPoint:
-    """Closed-form flow of tr Z^k (k a multiple of m); Z, V, W exactly constant."""
+    """Closed-form flow of tr Z^k (k a multiple of m); Z, V, W exactly constant.
+
+    Raises SingularFactor when an X block of the endpoint is singular, since
+    Y = Z - X^(-1) is then undefined.
+    """
     m = point.spec.m
     if k % m:
         raise ValueError("tr Z^k flows need m | k")
@@ -124,42 +141,47 @@ def flow_T(point: RepPoint, k: int, time: complex) -> RepPoint:
 
 # -- RK4 oracle ---------------------------------------------------------------
 
-def _theta_from_XZ(Xt, Zt):
-    XZ = Xt @ Zt
-    ZX = Zt @ Xt
-    return XZ @ np.linalg.inv(ZX)
-
-
 def _vf_Z(Xt, Zt, k, eta):
-    Theta = _theta_from_XZ(Xt, Zt)
-    eye = np.eye(Xt.shape[0])
-    U = Zt @ (eye + eta * Theta)
-    Ukm1 = np.linalg.matrix_power(U, k - 1)
-    dX = -eta * (Theta @ Ukm1 @ Zt @ Xt) - Xt @ Ukm1 @ Zt
+    ZX_inv = np.linalg.inv(Zt @ Xt)         # Theta = XZ (ZX)^(-1) needs ZX invertible
+    if eta == 0:
+        Ukm1 = np.linalg.matrix_power(Zt, k - 1)
+        dX = -(Xt @ Ukm1 @ Zt)
+    else:
+        Theta = Xt @ Zt @ ZX_inv
+        U = Zt @ (np.eye(Xt.shape[0]) + eta * Theta)
+        Ukm1 = np.linalg.matrix_power(U, k - 1)
+        dX = -eta * (Theta @ Ukm1 @ Zt @ Xt) - Xt @ Ukm1 @ Zt
     dZ = -(Zt @ Ukm1 @ Zt) + Ukm1 @ Zt @ Zt
     return dX, dZ
 
 
 def _vf_Y(Xt, Yt, k, eta):
     eye = np.eye(Xt.shape[0])
-    T1 = eye + Xt @ Yt
     W = eye + Yt @ Xt
-    Theta = T1 @ np.linalg.inv(W)
-    U = Yt @ (eye + eta * Theta)
-    Ukm1 = np.linalg.matrix_power(U, k - 1)
-    dX = -Ukm1 - Xt @ Ukm1 @ Yt - eta * (Theta @ Ukm1 @ W)
+    W_inv = np.linalg.inv(W)                # Theta = (1 + XY)(1 + YX)^(-1)
+    if eta == 0:
+        Ukm1 = np.linalg.matrix_power(Yt, k - 1)
+        dX = -Ukm1 - Xt @ Ukm1 @ Yt
+    else:
+        Theta = (eye + Xt @ Yt) @ W_inv
+        U = Yt @ (eye + eta * Theta)
+        Ukm1 = np.linalg.matrix_power(U, k - 1)
+        dX = -Ukm1 - Xt @ Ukm1 @ Yt - eta * (Theta @ Ukm1 @ W)
     dY = -(Yt @ Ukm1 @ Yt) + Ukm1 @ Yt @ Yt
     return dX, dY
 
 
 def _vf_T(Xt, Ut, k, eta):
-    eye = np.eye(Xt.shape[0])
-    Xinv = np.linalg.inv(Xt)
-    W = Xinv @ Ut @ Xt                      # 1 + YX
-    Theta_inv = W @ np.linalg.inv(Ut)
-    U_eta = Ut @ (eye + eta * Theta_inv)
-    Ukm1 = np.linalg.matrix_power(U_eta, k - 1)
-    dX = -(Ukm1 @ Ut @ Xt) - eta * (Xt @ Theta_inv @ Ukm1 @ Ut)
+    Xinv = np.linalg.inv(Xt)                # Theta^(-1) = X^(-1) U X U^(-1)
+    Uinv = np.linalg.inv(Ut)
+    if eta == 0:
+        Ukm1 = np.linalg.matrix_power(Ut, k - 1)
+        dX = -(Ukm1 @ Ut @ Xt)
+    else:
+        Theta_inv = Xinv @ Ut @ Xt @ Uinv
+        U_eta = Ut @ (np.eye(Xt.shape[0]) + eta * Theta_inv)
+        Ukm1 = np.linalg.matrix_power(U_eta, k - 1)
+        dX = -(Ukm1 @ Ut @ Xt) - eta * (Xt @ Theta_inv @ Ukm1 @ Ut)
     dU = -(Ukm1 @ Ut @ Ut) + Ut @ Ukm1 @ Ut
     return dX, dU
 
@@ -185,7 +207,11 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
     """Integrate the flow vector field with classical RK4; V, W stay constant.
 
     Returns the sampled trajectory; raises SingularFactor with the partial
-    trajectory attached (args[1]) if an inverse fails mid-run.
+    trajectory attached (args[1]) if an inverse fails mid-run, in a vector
+    field or while a sampled state is rebuilt into a point.  The eta-terms
+    are evaluated only when flow.eta != 0; the inverse that defines Theta is
+    taken at every eta, so that an eta = 0 run stops where Theta stops being
+    defined, as it would if the eta-terms were evaluated and multiplied by 0.
     """
     spec = point.spec
     m, n = spec.m, spec.n
@@ -234,7 +260,12 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
         X = X + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         M = M + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         if step % stride == 0 or step == flow.steps:
-            traj.append(step * h, rebuild(X, M))
+            try:
+                sample = rebuild(X, M)
+            except (np.linalg.LinAlgError, SingularFactor) as exc:
+                err = SingularFactor(f"oracle state has a singular X block at step {step}", traj)
+                raise err from exc
+            traj.append(step * h, sample)
     return traj
 
 

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from spinquiver import (FlowSpec, family_value, flow_T, flow_Y, flow_Z, gauge_act,
-                        moment_residual, ode_oracle, phi1)
+from spinquiver import (FlowSpec, LocalCoordinates, ModelSpec, Trajectory, derive_params,
+                        family_value, flow_T, flow_Y, flow_Z, gauge_act, moment_residual,
+                        ode_oracle, phi1, point_from_coordinates, random_coordinates,
+                        random_point)
+from spinquiver import flows
+from spinquiver.errors import SingularFactor
 from spinquiver.flows import closed_form_flow, conservation_report, expm
 
 from conftest import tame_point
@@ -147,3 +151,152 @@ def test_oracle_trajectory_sampling(tame):
     traj = ode_oracle(point, fs, params, samples=8)
     assert len(traj.points) >= 8
     assert abs(traj.times[-1] - 0.5) < 1e-12
+
+
+# -- the oracle's vector fields against the version that always built Theta ----
+#
+# The reference fields below evaluate Theta, 1 + eta Theta and the eta-weighted
+# term of dX at every eta.  The fields in flows skip them at eta = 0 and keep
+# every other product in the same association, so results agree bit for bit.
+
+def _ref_theta_from_XZ(Xt, Zt):
+    XZ = Xt @ Zt
+    ZX = Zt @ Xt
+    return XZ @ np.linalg.inv(ZX)
+
+
+def _ref_vf_Z(Xt, Zt, k, eta):
+    Theta = _ref_theta_from_XZ(Xt, Zt)
+    eye = np.eye(Xt.shape[0])
+    U = Zt @ (eye + eta * Theta)
+    Ukm1 = np.linalg.matrix_power(U, k - 1)
+    dX = -eta * (Theta @ Ukm1 @ Zt @ Xt) - Xt @ Ukm1 @ Zt
+    dZ = -(Zt @ Ukm1 @ Zt) + Ukm1 @ Zt @ Zt
+    return dX, dZ
+
+
+def _ref_vf_Y(Xt, Yt, k, eta):
+    eye = np.eye(Xt.shape[0])
+    T1 = eye + Xt @ Yt
+    W = eye + Yt @ Xt
+    Theta = T1 @ np.linalg.inv(W)
+    U = Yt @ (eye + eta * Theta)
+    Ukm1 = np.linalg.matrix_power(U, k - 1)
+    dX = -Ukm1 - Xt @ Ukm1 @ Yt - eta * (Theta @ Ukm1 @ W)
+    dY = -(Yt @ Ukm1 @ Yt) + Ukm1 @ Yt @ Yt
+    return dX, dY
+
+
+def _ref_vf_T(Xt, Ut, k, eta):
+    eye = np.eye(Xt.shape[0])
+    Xinv = np.linalg.inv(Xt)
+    W = Xinv @ Ut @ Xt                      # 1 + YX
+    Theta_inv = W @ np.linalg.inv(Ut)
+    U_eta = Ut @ (eye + eta * Theta_inv)
+    Ukm1 = np.linalg.matrix_power(U_eta, k - 1)
+    dX = -(Ukm1 @ Ut @ Xt) - eta * (Xt @ Theta_inv @ Ukm1 @ Ut)
+    dU = -(Ukm1 @ Ut @ Ut) + Ut @ Ukm1 @ Ut
+    return dX, dU
+
+
+FIELDS = [(flows._vf_Z, _ref_vf_Z), (flows._vf_Y, _ref_vf_Y), (flows._vf_T, _ref_vf_T)]
+ETAS = [0.0, 0.3 - 0.2j, 1.5j, -0.7]
+
+
+def _complex(rng, N):
+    return rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+
+
+@pytest.mark.parametrize("N", [3, 6, 12, 18])
+def test_vector_fields_match_reference_bit_for_bit(rng, N):
+    for k in range(1, 5):
+        for eta in ETAS:
+            X, M = _complex(rng, N), _complex(rng, N)
+            for field, ref in FIELDS:
+                got, want = field(X, M, k, eta), ref(X, M, k, eta)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want)), \
+                    (field.__name__, k, eta)
+
+
+def test_vector_fields_take_the_domain_inverse_at_every_eta(rng):
+    X, M = _complex(rng, 4), _complex(rng, 4)
+    singular, eye = np.zeros((4, 4), dtype=complex), np.eye(4, dtype=complex)
+    cases = [(flows._vf_Z, singular, M), (flows._vf_Y, eye, -eye),
+             (flows._vf_T, singular, M), (flows._vf_T, X, singular)]
+    for field, A, B in cases:
+        for eta in ETAS:
+            with pytest.raises(np.linalg.LinAlgError):
+                field(A, B, 2, eta)
+
+
+def _recipe_point(seed):
+    """A (2,2,3) point with q = exp(0.35 (N(2) + i N(2))) drawn from Philox(seed)."""
+    gen = np.random.Generator(np.random.Philox(seed))
+    q = np.exp(0.35 * (gen.standard_normal(2) + 1j * gen.standard_normal(2)))
+    params = derive_params(q, 3)
+    return random_point(ModelSpec(2, 2, 3), params, 10), params
+
+
+def _run_oracle(point, fs, params):
+    """(times, point blocks, None) of a full run; (times, blocks, message) on SingularFactor."""
+    try:
+        traj, message = ode_oracle(point, fs, params), None
+    except SingularFactor as exc:
+        traj, message = exc.args[1], exc.args[0]
+    blocks = [p.X + p.Y + p.V + p.W + (p.Z or ()) for p in traj.points]
+    return traj.times, blocks, message
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("seed", [3, 9])
+def test_oracle_matches_reference_fields(monkeypatch, seed):
+    point, params = _recipe_point(seed)
+    messages = {}
+    for ham in ("trZ", "trY", "trT"):
+        for eta in (0.0, 0.3 - 0.2j):
+            fs = FlowSpec(ham, 1 if ham == "trT" else 2, 1.0, eta, 100)
+            times, blocks, message = _run_oracle(point, fs, params)
+            with monkeypatch.context() as patch:
+                for name, ref in (("_vf_Z", _ref_vf_Z), ("_vf_Y", _ref_vf_Y),
+                                  ("_vf_T", _ref_vf_T)):
+                    patch.setattr(flows, name, ref)
+                ref_times, ref_blocks, ref_message = _run_oracle(point, fs, params)
+            assert message == ref_message
+            assert times == ref_times
+            assert len(blocks) == len(ref_blocks)
+            # equal_nan: at seed 9 the trZ flow at eta != 0 runs to non-finite values
+            for got, want in zip(blocks, ref_blocks):
+                assert len(got) == len(want)
+                assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
+            messages[ham, eta] = message
+    if seed == 3:   # both eta = 0 flows leave the domain, so the failure path is compared
+        assert messages["trZ", 0.0] == "oracle singular at step 12"
+        assert messages["trY", 0.0] == "oracle singular at step 12"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_oracle_rebuild_failure_is_singular_factor():
+    point, params = _recipe_point(87)
+    with pytest.raises(SingularFactor) as info:
+        ode_oracle(point, FlowSpec("trZ", 2, 1.0, 0.0, 100), params)
+    message, partial = info.value.args
+    assert message == "oracle state has a singular X block at step 80"
+    assert isinstance(partial, Trajectory)
+    assert partial.times[-1] == pytest.approx(0.7)
+    assert len(partial.points) == 8
+    assert isinstance(info.value.__cause__, SingularFactor)
+
+
+def test_flow_Z_singular_endpoint_is_singular_factor():
+    # a tame (3,3,6) point, drawn as `bench/workloads.py` draws input 22006,
+    # whose closed-form X(1) reaches 1e106 and has a block that inv rejects
+    spec, s = ModelSpec(3, 3, 6), 22006
+    gen = np.random.Generator(np.random.Philox(s + 77))
+    q = np.exp(0.35 * (gen.standard_normal(3) + 1j * gen.standard_normal(3)))
+    params = derive_params(q, 6)
+    raw = random_coordinates(spec, params, s)
+    coords = LocalCoordinates.make(raw.x, raw.a, 0.15 * raw.c)
+    point = point_from_coordinates(coords, params, spec)
+    with pytest.raises(SingularFactor, match=r"X_\d singular, so Y_\d = ") as info:
+        flow_Z(point, 3, 1.0)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
