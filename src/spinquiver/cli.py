@@ -525,7 +525,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         return int(exc.code)
     except SpinQuiverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 1
 
 

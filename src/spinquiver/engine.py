@@ -7,9 +7,12 @@ block for an idempotent.  A word evaluates to the product of its letter
 blocks on (tail of its first letter, head of its last); it is zero when its
 letters do not compose, which words.word_tail_head decides before any product
 is formed.  Gradient dictionaries map each base letter to a block of that
-letter's shape.  The total space C^(m n + 1), block v of size n for each cycle
-vertex and a final 1-dimensional block for the framing vertex, is only the
-output of the public eval_* methods and loday_matrix.
+letter's shape.  PointEngine.letter_gradients takes (letter, Q) pairs, Q the
+transposed gradient on that letter's block, and is the one place where the
+rules for z = y + x^(-1), inverses and unit-plus-word letters are applied.
+The total space C^(m n + 1), block v of size n for each cycle vertex and a
+final 1-dimensional block for the framing vertex, is only the output of the
+public eval_* methods and loday_matrix.
 
 Bracket values between trace functions are computed two ways:
 
@@ -275,16 +278,20 @@ class PointEngine:
             return
         raise ValueError(f"unknown letter {letter!r}")
 
+    def letter_gradients(self, pairs) -> dict:
+        """Gradient blocks over the base generators from (letter, Q = (dF/d letter)^T) pairs.
+
+        All-zero blocks are left out.
+        """
+        accQ: dict = {}
+        for letter, Q in pairs:
+            self._accumulate_letter_grad(letter, Q, accQ)
+        return {g: Q.T for g, Q in accQ.items() if np.any(Q)}
+
     def grad_trace_wordsum(self, ws) -> dict:
         """Gradient blocks D[g][i, j] = d tr(ws) / d g_ij over the base generators."""
-        accQ: dict = {}
-        for cw, word in _as_wordsum(ws):
-            rests = self._rests(word)
-            if rests is None:
-                continue
-            for l, rest in zip(word, rests):
-                self._accumulate_letter_grad(l, cw * rest, accQ)
-        return {g: Q.T for g, Q in accQ.items()}
+        return self.letter_gradients((l, cw * rest) for cw, word in _as_wordsum(ws)
+                                     for l, rest in zip(word, self._rests(word) or ()))
 
     def bracket_gradients(self, gradF: dict, gradG: dict,
                           with_mass: bool = False):

@@ -8,7 +8,9 @@ The four spectral-parameter families are symmetric functions of
 on the total cycle matrices, with Theta = (1 + XY)(1 + YX)^(-1) the cycle
 moment map.  On the X-invertible locus they reduce to the spin RS families
 G, H, F in the quadruple (A, B, bigA, bigC), which is what the independence
-counts and the spectral-curve constraints are computed from.
+counts and the spectral-curve constraints are computed from.  The family,
+power-trace and qu gradients hand their x, y and z letter blocks to
+PointEngine.letter_gradients, where the chain rule for z = y + x^(-1) lives.
 """
 
 from __future__ import annotations
@@ -90,20 +92,28 @@ def total_matrices(point: RepPoint) -> TotalMatrices:
                          Theta=cycle_total("e", theta))
 
 
-def _family_matrix(tm: TotalMatrices, family: int, eta: complex) -> np.ndarray:
-    N = tm.Xt.shape[0]
-    eye = np.eye(N)
+# the total kind of U in each family matrix (1 + eta T) U, as _u_total names it
+_FAMILY_U = {1: "x", 2: "t", 3: "y", 4: "z"}
+
+
+def _family_factors(tm: TotalMatrices, family: int):
+    """(T, U) with family matrix (1 + eta T) U: T = Theta^(-1) for 1, 2 and Theta for 3, 4."""
     if family == 1:
-        return (eye + eta * np.linalg.inv(tm.Theta)) @ tm.Xt
+        return np.linalg.inv(tm.Theta), tm.Xt
     if family == 2:
-        return (eye + eta * np.linalg.inv(tm.Theta)) @ (eye + tm.Xt @ tm.Yt)
+        return np.linalg.inv(tm.Theta), np.eye(tm.Xt.shape[0]) + tm.Xt @ tm.Yt
     if family == 3:
-        return (eye + eta * tm.Theta) @ tm.Yt
+        return tm.Theta, tm.Yt
     if family == 4:
         if tm.Zt is None:
             raise SingularFactor("family 4 needs invertible X")
-        return (eye + eta * tm.Theta) @ tm.Zt
+        return tm.Theta, tm.Zt
     raise ValueError(f"family must be 1..4, got {family}")
+
+
+def _family_matrix(tm: TotalMatrices, family: int, eta: complex) -> np.ndarray:
+    T, U = _family_factors(tm, family)
+    return (np.eye(U.shape[0]) + eta * T) @ U
 
 
 def family_value(point: RepPoint, family: int, j: int, eta: complex) -> complex:
@@ -119,66 +129,30 @@ def family_gradients(eng: PointEngine, family: int, j: int, eta: complex) -> dic
     Returned as the D-dictionary of letter blocks consumed by
     PointEngine.bracket_gradients.
     """
-    point = eng.point
-    tm = total_matrices(point)
-    N = tm.Xt.shape[0]
-    eye = np.eye(N)
-    X, Y = tm.Xt, tm.Yt
-    T1 = eye + X @ Y
-    Winv = np.linalg.inv(eye + Y @ X)
-    Theta = tm.Theta
-    M = _family_matrix(tm, family, eta)
-    P = j * np.linalg.matrix_power(M, j - 1)
-
-    Q_X = np.zeros((N, N), dtype=complex)
-    Q_Y = np.zeros((N, N), dtype=complex)
-    S_Theta = np.zeros((N, N), dtype=complex)
-
+    tm = total_matrices(eng.point)
+    T, U = _family_factors(tm, family)
+    X, Y, Theta = tm.Xt, tm.Yt, tm.Theta
+    eye = np.eye(X.shape[0])
+    damp = eye + eta * T
+    P = j * np.linalg.matrix_power(damp @ U, j - 1)
+    S = eta * (U @ P)
     if family in (1, 2):
-        Thinv = np.linalg.inv(Theta)
-        damp = eye + eta * Thinv
-        if family == 1:
-            Q_X += P @ damp
-            S_inv = eta * (X @ P)
-        else:
-            S2 = P @ damp
-            Q_X += Y @ S2
-            Q_Y += S2 @ X
-            S_inv = eta * (T1 @ P)
-        S_Theta += -(Thinv @ S_inv @ Thinv)
-    else:
-        damp = eye + eta * Theta
-        if family == 3:
-            Q_Y += P @ damp
-            S_Theta += eta * (Y @ P)
-        else:
-            Zt = tm.Zt
-            if Zt is None:
-                raise SingularFactor("family 4 needs invertible X")
-            Q_Z = P @ damp
-            Xinv = np.linalg.inv(X)
-            Q_Y += Q_Z
-            Q_X += -(Xinv @ Q_Z @ Xinv)
-            S_Theta += eta * (Zt @ P)
+        S = -(T @ S @ T)    # chain through T = Theta^(-1)
 
-    # chain through Theta = (1 + XY)(1 + YX)^(-1)
-    S = S_Theta
-    Q_X += Y @ Winv @ S - Winv @ S @ Theta @ Y
-    Q_Y += Winv @ S @ X - X @ Winv @ S @ Theta
-
-    return _cycle_grads(eng.m, Q_X, Q_Y)
+    # chain S = (dF/dTheta)^T through Theta = (1 + XY)(1 + YX)^(-1)
+    Winv = np.linalg.inv(eye + Y @ X)
+    qs = {"x": Y @ Winv @ S - Winv @ S @ Theta @ Y, "y": Winv @ S @ X - X @ Winv @ S @ Theta}
+    for kind, Q in _u_chain(eng.point, _FAMILY_U[family], P @ damp).items():
+        qs[kind] = qs.get(kind, 0) + Q
+    return _cycle_grads(eng, qs)
 
 
-def _cycle_grads(m: int, Q_X: np.ndarray, Q_Y: np.ndarray) -> dict:
-    """Gradient blocks of x_s and y_s from cycle-space Q = (dF/dXt)^T, (dF/dYt)^T."""
-    dx, dy = cycle_blocks("x", Q_X.T, m), cycle_blocks("y", Q_Y.T, m)
-    grads = {}
-    for s in range(m):
-        if np.any(dx[s]):
-            grads[("x", s)] = dx[s]
-        if np.any(dy[s]):
-            grads[("y", s)] = dy[s]
-    return grads
+def _cycle_grads(eng: PointEngine, qs: dict) -> dict:
+    """Gradient blocks over the base generators from {letter kind: (dF/d cycle total)^T}."""
+    blocks = {kind: cycle_blocks(kind, Q.T, eng.m) for kind, Q in qs.items()}
+    # vertex by vertex: bracket_gradients sums its terms in key order x_0, y_0, x_1, ...
+    return eng.letter_gradients(((kind, s), b[s].T) for s in range(eng.m)
+                                for kind, b in blocks.items())
 
 
 def family_poly(point: RepPoint, family: int, j: int,
@@ -509,51 +483,57 @@ def independence_rank(coords: LocalCoordinates, family: str, params: ParameterSe
     n, d = coords.n, coords.d
     if method == "analytic":
         _, jac_c = coefficient_jacobian(coords, family, params)
-        norms = np.linalg.norm(jac_c, axis=1)
-        norms[norms == 0] = 1.0
-        jac_c = jac_c / norms[:, None]
-        sv_c = np.linalg.svd(jac_c, compute_uv=False)
-        svals = np.sort(np.concatenate([sv_c, sv_c]))[::-1]
-        noise_floor = 1e-11
-    elif method == "fd":
-        base = _pack_coords(coords)
-        n_complex = base.size
-
-        def evaluate(vec):
-            return _coefficient_functions(_unpack_coords(vec, n, d), family, params)
-
-        n_funcs = len(index_set(n, d))
-        jac = np.zeros((2 * n_funcs, 2 * n_complex))
-        for k in range(n_complex):
-            for part, delta in ((0, step), (1, 1j * step)):
-                plus = np.array(base)
-                minus = np.array(base)
-                plus[k] += delta
-                minus[k] -= delta
-                deriv = (evaluate(plus) - evaluate(minus)) / (2 * step)
-                col = 2 * k + part
-                jac[0::2, col] = deriv.real
-                jac[1::2, col] = deriv.imag
-        for f in range(n_funcs):
-            block = jac[2 * f:2 * f + 2, :]
-            norm = np.linalg.norm(block)
-            if norm > 0:
-                jac[2 * f:2 * f + 2, :] = block / norm
-        svals = np.linalg.svd(jac, compute_uv=False)
-        noise_floor = 1e-8
-    else:
+        rank, sv_c = _decide_rank(jac_c, sv_tol, gap_factor, noise_floor=1e-11)
+        # the real Jacobian has each complex singular value twice
+        return rank, np.sort(np.concatenate([sv_c, sv_c]))[::-1]
+    if method != "fd":
         raise ValueError("method must be 'analytic' or 'fd'")
+    base = _pack_coords(coords)
+    n_complex = base.size
 
-    cut = sv_tol * svals[0]
-    rank_real = int(np.sum(svals > cut))
-    if rank_real < len(svals) and svals[rank_real] > 0:
-        if svals[rank_real - 1] / svals[rank_real] < gap_factor:
-            raise IllConditioned("singular-value gap at the rank cut below 10x")
-        if svals[rank_real] > noise_floor * svals[0]:
-            raise IllConditioned("sub-threshold singular values above the noise floor")
+    def evaluate(vec):
+        return _coefficient_functions(_unpack_coords(vec, n, d), family, params)
+
+    # jac[f] holds the real and the imaginary row of function f
+    jac = np.zeros((len(index_set(n, d)), 2, 2 * n_complex))
+    for k in range(n_complex):
+        for part, delta in ((0, step), (1, 1j * step)):
+            plus = np.array(base)
+            minus = np.array(base)
+            plus[k] += delta
+            minus[k] -= delta
+            deriv = (evaluate(plus) - evaluate(minus)) / (2 * step)
+            jac[:, 0, 2 * k + part] = deriv.real
+            jac[:, 1, 2 * k + part] = deriv.imag
+    rank_real, svals = _decide_rank(jac, sv_tol, gap_factor, noise_floor=1e-8)
     if rank_real % 2:
         raise IllConditioned("real Jacobian rank is odd; holomorphy violated")
     return rank_real // 2, svals
+
+
+def _decide_rank(jac: np.ndarray, sv_tol: float, gap_factor: float,
+                 noise_floor: float | None = None):
+    """(rank, singular values) of jac, whose leading index runs over functions.
+
+    Each function's rows are scaled to unit norm together and the values above
+    sv_tol * s_0 are counted.  Raises IllConditioned when the ratio across the
+    cut is below gap_factor or, given a noise_floor, the first value below the
+    cut exceeds noise_floor * s_0.
+    """
+    rows = jac.reshape(len(jac), -1)
+    norms = np.linalg.norm(rows, axis=1)
+    norms[norms == 0] = 1.0
+    svals = np.linalg.svd((rows / norms[:, None]).reshape(-1, jac.shape[-1]),
+                          compute_uv=False)
+    rank = int(np.sum(svals > sv_tol * svals[0]))
+    if rank < len(svals) and svals[rank] > 0:
+        ratio = svals[rank - 1] / svals[rank]
+        if ratio < gap_factor:
+            raise IllConditioned(f"singular-value gap at the rank cut is {ratio:.3g}x, "
+                                 f"below the required {gap_factor:g}x")
+        if noise_floor is not None and svals[rank] > noise_floor * svals[0]:
+            raise IllConditioned("sub-threshold singular values above the noise floor")
+    return rank, svals
 
 
 # -- degenerate integrability ---------------------------------------------------
@@ -594,7 +574,7 @@ def qu_gradients(point: RepPoint, alpha: int, beta: int, ell: int, U: str,
     Q_U = np.zeros_like(Ut)
     for p in range(K):
         Q_U += np.linalg.matrix_power(Ut, K - 1 - p) @ WV @ np.linalg.matrix_power(Ut, p)
-    grads = _distribute_u_grad(eng, U, Q_U)
+    grads = _cycle_grads(eng, _u_chain(point, U, Q_U))
     grads[("w", alpha)] = (V @ UK00).T
     grads[("v", beta)] = (UK00 @ W).T
     return grads
@@ -605,22 +585,14 @@ def power_trace_gradients(point: RepPoint, U: str, K: int,
     """Gradient dictionary of tr U^K for U in {x, y, z, t=1+xy} total matrices."""
     eng = engine or PointEngine(point)
     Q_U = K * np.linalg.matrix_power(_u_total(point, U), K - 1)
-    return _distribute_u_grad(eng, U, Q_U)
+    return _cycle_grads(eng, _u_chain(point, U, Q_U))
 
 
-def _distribute_u_grad(eng: PointEngine, U: str, Q_U: np.ndarray) -> dict:
-    """Chain Q_U = (dF/dU)^T through U to the x_s and y_s gradient blocks."""
-    if U == "x":
-        return _cycle_grads(eng.m, Q_U, np.zeros_like(Q_U))
-    if U == "y":
-        return _cycle_grads(eng.m, np.zeros_like(Q_U), Q_U)
-    if U == "z":
-        Xinv = cycle_total("xi", [eng.letter_block(("xi", s)) for s in range(eng.m)])
-        return _cycle_grads(eng.m, -(Xinv @ Q_U @ Xinv), Q_U)
+def _u_chain(point: RepPoint, U: str, Q_U: np.ndarray) -> dict:
+    """{letter kind: Q} for Q_U = (dF/dU)^T; only t = 1 + XY is not a letter kind."""
     if U == "t":
-        return _cycle_grads(eng.m, _u_total(eng.point, "y") @ Q_U,
-                            Q_U @ _u_total(eng.point, "x"))
-    raise ValueError(f"unknown total kind {U!r}")
+        return {"x": _u_total(point, "y") @ Q_U, "y": Q_U @ _u_total(point, "x")}
+    return {U: Q_U}
 
 
 def _flatten_grads(eng: PointEngine, grads: dict) -> np.ndarray:
@@ -645,17 +617,7 @@ def cy2_rank(point: RepPoint, U: str, sv_tol: float = 1e-7,
         K = j * eng.m if U in ("x", "y", "z") else j
         rows.append(_flatten_grads(eng, power_trace_gradients(point, U, K, engine=eng)))
         rows.append(_flatten_grads(eng, qu_gradients(point, 1, 1, j, U, engine=eng)))
-    jac = np.array(rows)
-    norms = np.linalg.norm(jac, axis=1)
-    norms[norms == 0] = 1.0
-    jac = jac / norms[:, None]
-    svals = np.linalg.svd(jac, compute_uv=False)
-    cut = sv_tol * svals[0]
-    rank = int(np.sum(svals > cut))
-    if rank < len(svals) and svals[rank] > 0:
-        if svals[rank - 1] / svals[rank] < gap_factor:
-            raise IllConditioned("singular-value gap at the rank cut below 10x")
-    return rank, svals
+    return _decide_rank(np.array(rows), sv_tol, gap_factor)
 
 
 def spect_residual(point: RepPoint, params: ParameterSet, U: str) -> float:

@@ -96,6 +96,16 @@ def test_flow_outputs(tmp_path):
     assert set(endpoint) == {"spec", "q", "X", "Y", "V", "W"}
 
 
+def test_error_prints_message_only(tmp_path, capsys):
+    # the oracle's SingularFactor also carries the partial trajectory
+    code = run(["flow", "--spec", "2,2,2", "--ham", "trZ", "--k", "2", "--time", "1.0",
+                "--eta", "0.3-0.2j", "--out", str(tmp_path / "fl")])
+    assert code == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == ["error: oracle singular at step 11"]
+
+
 def test_reduce_and_dual(tmp_path):
     out = str(tmp_path / "red.json")
     assert run(["reduce", "--spec", "2,2,2", "--seed", "3", "--out", out,

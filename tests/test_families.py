@@ -1,5 +1,7 @@
 """Hamiltonian families: assembly, involutivity, reduced forms, ranks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from spinquiver import (PointEngine, cy2_rank, family_gradients, family_poly,
                         reduced_quadruple, spect_residual, spectral_coeffs,
                         total_matrices)
 from spinquiver.errors import IllConditioned
-from spinquiver.families import (big_C_constant, big_K_constant, family_word_sum,
-                                 index_set)
+from spinquiver.families import (FAMILIES, _u_total, big_C_constant, big_K_constant,
+                                 cycle_blocks, cycle_total, family_word_sum, index_set)
 from spinquiver.points import quadruple_from_coordinates
 
 from conftest import make_point, make_setup
@@ -76,25 +78,163 @@ def test_involutivity_within_family(base, fam):
 
 
 def test_family_gradients_match_fd(base):
-    # directional derivative of the family value along a random X-perturbation
+    # directional derivatives of each family value along random X- and Y-perturbations
     point, spec, params, eng = base
     from spinquiver.points import RepPoint
     rng = np.random.Generator(np.random.Philox(5))
-    fam, j, eta = 4, 2 * spec.m, 0.23 - 0.41j
-    grads = family_gradients(eng, fam, j, eta)
+    j, eta = 2 * spec.m, 0.23 - 0.41j
+    grads = {fam: family_gradients(eng, fam, j, eta) for fam in FAMILIES}
     h = 1e-7
-    for s in range(spec.m):
+    for fam, kind, s in itertools.product(FAMILIES, ("x", "y"), range(spec.m)):
         direction = rng.standard_normal((spec.n, spec.n)) \
             + 1j * rng.standard_normal((spec.n, spec.n))
-        X = [np.array(mat) for mat in point.X]
-        X[s] = X[s] + h * direction
-        plus = RepPoint.make(spec, X, point.Y, point.V, point.W)
-        X[s] = X[s] - 2 * h * direction
-        minus = RepPoint.make(spec, X, point.Y, point.V, point.W)
+        blocks = {"x": [np.array(mat) for mat in point.X],
+                  "y": [np.array(mat) for mat in point.Y]}
+        blocks[kind][s] = blocks[kind][s] + h * direction
+        plus = RepPoint.make(spec, blocks["x"], blocks["y"], point.V, point.W)
+        blocks[kind][s] = blocks[kind][s] - 2 * h * direction
+        minus = RepPoint.make(spec, blocks["x"], blocks["y"], point.V, point.W)
         fd = (family_value(plus, fam, j, eta) - family_value(minus, fam, j, eta)) / (2 * h)
-        D = grads.get(("x", s))
+        D = grads[fam].get((kind, s))
         analytic = 0.0 if D is None else np.sum(D * direction)
         assert abs(fd - analytic) < 1e-5 * max(1.0, abs(fd))
+
+
+# Reference gradients: the chain rules as the families wrote them out by hand,
+# on whole cycle matrices, before the engine became their only owner.
+
+def _ref_cycle_grads(m, Q_X, Q_Y):
+    dx, dy = cycle_blocks("x", Q_X.T, m), cycle_blocks("y", Q_Y.T, m)
+    grads = {}
+    for s in range(m):
+        if np.any(dx[s]):
+            grads[("x", s)] = dx[s]
+        if np.any(dy[s]):
+            grads[("y", s)] = dy[s]
+    return grads
+
+
+def _ref_family_matrix(tm, family, eta):
+    eye = np.eye(tm.Xt.shape[0])
+    if family == 1:
+        return (eye + eta * np.linalg.inv(tm.Theta)) @ tm.Xt
+    if family == 2:
+        return (eye + eta * np.linalg.inv(tm.Theta)) @ (eye + tm.Xt @ tm.Yt)
+    if family == 3:
+        return (eye + eta * tm.Theta) @ tm.Yt
+    return (eye + eta * tm.Theta) @ tm.Zt
+
+
+def _ref_family_gradients(eng, family, j, eta):
+    tm = total_matrices(eng.point)
+    N = tm.Xt.shape[0]
+    eye = np.eye(N)
+    X, Y = tm.Xt, tm.Yt
+    T1 = eye + X @ Y
+    Winv = np.linalg.inv(eye + Y @ X)
+    Theta = tm.Theta
+    P = j * np.linalg.matrix_power(_ref_family_matrix(tm, family, eta), j - 1)
+    Q_X = np.zeros((N, N), dtype=complex)
+    Q_Y = np.zeros((N, N), dtype=complex)
+    S_Theta = np.zeros((N, N), dtype=complex)
+    if family in (1, 2):
+        Thinv = np.linalg.inv(Theta)
+        damp = eye + eta * Thinv
+        if family == 1:
+            Q_X += P @ damp
+            S_inv = eta * (X @ P)
+        else:
+            S2 = P @ damp
+            Q_X += Y @ S2
+            Q_Y += S2 @ X
+            S_inv = eta * (T1 @ P)
+        S_Theta += -(Thinv @ S_inv @ Thinv)
+    else:
+        damp = eye + eta * Theta
+        if family == 3:
+            Q_Y += P @ damp
+            S_Theta += eta * (Y @ P)
+        else:
+            Q_Z = P @ damp
+            Xinv = np.linalg.inv(X)
+            Q_Y += Q_Z
+            Q_X += -(Xinv @ Q_Z @ Xinv)
+            S_Theta += eta * (tm.Zt @ P)
+    S = S_Theta
+    Q_X += Y @ Winv @ S - Winv @ S @ Theta @ Y
+    Q_Y += Winv @ S @ X - X @ Winv @ S @ Theta
+    return _ref_cycle_grads(eng.m, Q_X, Q_Y)
+
+
+def _ref_distribute_u_grad(eng, U, Q_U):
+    if U == "x":
+        return _ref_cycle_grads(eng.m, Q_U, np.zeros_like(Q_U))
+    if U == "y":
+        return _ref_cycle_grads(eng.m, np.zeros_like(Q_U), Q_U)
+    if U == "z":
+        Xinv = cycle_total("xi", [eng.letter_block(("xi", s)) for s in range(eng.m)])
+        return _ref_cycle_grads(eng.m, -(Xinv @ Q_U @ Xinv), Q_U)
+    return _ref_cycle_grads(eng.m, _u_total(eng.point, "y") @ Q_U,
+                            Q_U @ _u_total(eng.point, "x"))
+
+
+def _ref_qu_gradients(eng, alpha, beta, ell, U):
+    m, n = eng.m, eng.n
+    W, V = eng.letter_block(("w", alpha)), eng.letter_block(("v", beta))
+    Ut = _u_total(eng.point, U)
+    K = ell * m if U in ("x", "y", "z") else ell
+    UK00 = cycle_blocks("e", np.linalg.matrix_power(Ut, K), m)[0]
+    WV = cycle_total("e", [W @ V] + [np.zeros((n, n))] * (m - 1))
+    Q_U = np.zeros_like(Ut)
+    for p in range(K):
+        Q_U += np.linalg.matrix_power(Ut, K - 1 - p) @ WV @ np.linalg.matrix_power(Ut, p)
+    grads = _ref_distribute_u_grad(eng, U, Q_U)
+    grads[("w", alpha)] = (V @ UK00).T
+    grads[("v", beta)] = (UK00 @ W).T
+    return grads
+
+
+def _assert_same_grads(grads, ref, z_kind):
+    # z-kind gradients: the engine chains each z_s block with the cached X_s^(-1);
+    # other kinds also keep their key order, the order bracket_gradients sums in
+    assert grads.keys() == ref.keys()
+    assert z_kind or list(grads) == list(ref)
+    scale = max((np.max(np.abs(D)) for D in ref.values()), default=1.0)
+    for g, D in ref.items():
+        if z_kind:
+            assert np.max(np.abs(grads[g] - D)) <= 1e-14 * scale
+        else:
+            assert np.array_equal(grads[g], D)
+
+
+@pytest.fixture(scope="module", params=[(2, 2, 2, 3), (3, 3, 6, 1)],
+                ids=lambda p: "-".join(map(str, p[:3])))
+def grad_point(request):
+    m, d, n, seed = request.param
+    point, spec, params = make_point(m, d, n, seed)
+    return point, PointEngine(point, params)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.37 - 0.21j])
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_family_gradients_match_reference(grad_point, fam, eta):
+    point, eng = grad_point
+    for j in (1, 2, eng.m, 2 * eng.m):
+        _assert_same_grads(family_gradients(eng, fam, j, eta),
+                           _ref_family_gradients(eng, fam, j, eta), fam == 4)
+
+
+@pytest.mark.parametrize("U", ["x", "y", "z", "t"])
+def test_u_gradients_match_reference(grad_point, U):
+    point, eng = grad_point
+    Ut = _u_total(point, U)
+    for K in (1, eng.m, 2 * eng.m):
+        _assert_same_grads(power_trace_gradients(point, U, K, engine=eng),
+                           _ref_distribute_u_grad(eng, U, K * np.linalg.matrix_power(Ut, K - 1)),
+                           U == "z")
+    for ell in (0, 1, 2):
+        _assert_same_grads(qu_gradients(point, 1, 2, ell, U, engine=eng),
+                           _ref_qu_gradients(eng, 1, 2, ell, U), U == "z")
 
 
 def test_word_sum_equals_matrix_value(base):
@@ -244,6 +384,14 @@ def test_fd_rank_agrees_on_small_case():
     r1, _ = independence_rank(coords, "G", params, method="analytic")
     r2, _ = independence_rank(coords, "G", params, method="fd")
     assert r1 == r2 == 3
+
+
+def test_rank_gap_error_states_ratio_and_factor():
+    spec, params = make_setup(3, 2, 3)
+    coords = random_coordinates(spec, params, seed=4)
+    with pytest.raises(IllConditioned,
+                       match=r"gap at the rank cut is [0-9.]+x, below the required 1e\+06x"):
+        independence_rank(coords, "G", params, gap_factor=1e6)
 
 
 def test_index_set_shape():
