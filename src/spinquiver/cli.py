@@ -1,6 +1,11 @@
 """Command-line interface: generation, verification, and reporting.
 
-Commands: gen, verify, commute, flow, rank, reduce, dual, report.
+Commands: gen, verify, commute, rank, bracket, flow, reduce, dual, report.
+Each is one entry of COMMANDS, which declares its options; `main` builds or
+loads its point, runs its body, and emits its report.  A command's payload
+goes to --out (gen and flow have default paths; bracket prints its value);
+the report goes to stdout, except for verify and report, which have no
+payload and write the report to --out.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 parse errors.  All randomness flows from one counter-based generator seeded
 on the command line, so identical configurations reproduce byte-identical
@@ -14,6 +19,7 @@ import csv
 import datetime
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +33,7 @@ from .params import ModelSpec, check_regularity, derive_params
 from .points import (moment_residual, random_coordinates, random_point, spin_data)
 from .reduction import (dual_moment_residual, dual_point, h_invariant_value,
                         random_h)
-from .words import cycle_power_sum, spin_trace_word
+from .words import cycle_power_sum, parse_word, spin_trace_word
 
 DEFAULT_TOLS = {
     "moment": 1e-10,
@@ -37,9 +43,12 @@ DEFAULT_TOLS = {
     "bracket": 1e-8,
     "identity": 1e-9,
     "drift": 1e-7,
-    "spectral": 1e-7,
     "duality": 1e-8,
 }
+
+
+class UsageError(Exception):
+    """A command line or input file the command cannot use (exit code 2)."""
 
 
 class Report:
@@ -106,13 +115,18 @@ def _parse_q(text: str):
     return out
 
 
-def _tols(args) -> dict:
+def _tols(items) -> dict:
     tols = dict(DEFAULT_TOLS)
-    for item in args.tol or ():
+    for item in items or ():
         name, _, value = item.partition("=")
         if not value:
-            raise argparse.ArgumentTypeError("--tol needs name=value")
-        tols[name] = float(value)
+            raise UsageError(f"--tol needs name=value, got {item!r}")
+        if name not in tols:
+            raise UsageError(f"unknown tolerance {name!r}; known: {', '.join(DEFAULT_TOLS)}")
+        try:
+            tols[name] = float(value)
+        except ValueError:
+            raise UsageError(f"--tol {name}: {value!r} is not a number") from None
     return tols
 
 
@@ -121,7 +135,7 @@ def _setup(args):
     if args.q is not None:
         qvals = args.q
         if len(qvals) != spec.m:
-            raise SystemExit2(f"need {spec.m} deformation parameters, got {len(qvals)}")
+            raise UsageError(f"need {spec.m} deformation parameters, got {len(qvals)}")
     else:
         rng = np.random.Generator(np.random.Philox(args.seed + 77))
         qvals = np.exp(0.35 * (rng.standard_normal(spec.m)
@@ -129,36 +143,14 @@ def _setup(args):
     try:
         params = derive_params(qvals, spec.n)
     except ZeroParameter as exc:
-        raise SystemExit2(str(exc))
+        raise UsageError(str(exc)) from exc
     reg = check_regularity(params)
     if not reg.ok:
-        raise SystemExit2(f"parameters violate regularity: {reg.violations[:3]}")
+        raise UsageError(f"parameters violate regularity: {reg.violations[:3]}")
     if reg.unverifiable_beyond_k_max:
         print("warning: |t| is near 1; regularity unverifiable beyond k_max",
               file=sys.stderr)
     return spec, params
-
-
-class SystemExit2(SystemExit):
-    def __init__(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
-
-
-# -- commands -------------------------------------------------------------------
-
-def cmd_gen(args) -> int:
-    spec, params = _setup(args)
-    point = random_point(spec, params, args.seed)
-    residual = max(moment_residual(point, params))
-    out = args.out or "point.json"
-    sqio.write_json(out, sqio.point_to_dict(point, params))
-    report = Report()
-    report.add("generated-point-moment-residual", "moment-conditions", residual,
-               _tols(args)["moment"] * point.norm_scale())
-    print(f"wrote {out}", file=sys.stderr)
-    report.emit(None)
-    return report.exit_code()
 
 
 def _load_point(path: str):
@@ -166,13 +158,27 @@ def _load_point(path: str):
         data = sqio.read_json(path)
         return sqio.point_from_dict(data)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise SystemExit2(f"cannot read point file {path}: {exc}")
+        raise UsageError(f"cannot read point file {path}: {exc}") from exc
 
 
-def cmd_verify(args) -> int:
-    point, params = _load_point(args.point)
-    tols = _tols(args)
-    report = Report()
+def _write(args, payload: dict) -> None:
+    if args.out:
+        sqio.write_json(args.out, payload)
+
+
+# -- command bodies: each adds its records and writes its payload ----------------
+
+def cmd_gen(args, report, point, params) -> None:
+    residual = max(moment_residual(point, params))
+    out = args.out or "point.json"
+    sqio.write_json(out, sqio.point_to_dict(point, params))
+    report.add("generated-point-moment-residual", "moment-conditions", residual,
+               args.tol["moment"] * point.norm_scale())
+    print(f"wrote {out}", file=sys.stderr)
+
+
+def cmd_verify(args, report, point, params) -> None:
+    tols = args.tol
     scale = point.norm_scale()
     spec = point.spec
 
@@ -229,16 +235,10 @@ def cmd_verify(args) -> int:
         report.add("spin-trace-bracket-identity", "position-spin-bracket",
                    worst, tols["identity"] * max(1.0, scale ** 4))
 
-    report.emit(args.out)
-    return report.exit_code()
 
-
-def cmd_commute(args) -> int:
-    spec, params = _setup(args)
-    point = random_point(spec, params, args.seed)
+def cmd_commute(args, report, point, params) -> None:
+    spec = point.spec
     eng = PointEngine(point, params)
-    tols = _tols(args)
-    report = Report()
     rng = np.random.Generator(np.random.Philox(args.seed + 1))
     etas = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     family = args.family
@@ -256,82 +256,64 @@ def cmd_commute(args) -> int:
             mags[i, k] = mags[k, i] = val
             worst = max(worst, val / max(scales[i], scales[k]))
     report.add(f"involutivity-family-{family}", f"commuting-family-{family}",
-               worst, tols["bracket"])
-    if args.out:
-        sqio.write_json(args.out, {
-            "family": family,
-            "members": [[j, sqio.encode_complex(e)] for j, e in members],
-            "bracket_magnitudes": [[float(v) for v in row] for row in mags],
-        })
-    report.emit(None)
-    return report.exit_code()
+               worst, args.tol["bracket"])
+    _write(args, {
+        "family": family,
+        "members": [[j, sqio.encode_complex(e)] for j, e in members],
+        "bracket_magnitudes": [[float(v) for v in row] for row in mags],
+    })
 
 
-def cmd_bracket(args) -> int:
+def cmd_bracket(args, report, point, params) -> None:
     """Ad-hoc bracket query: {tr w1, tr w2} for dot-token words at a point."""
-    from .words import parse_word
-    if args.point:
-        point, params = _load_point(args.point)
-        spec = point.spec
-    else:
-        spec, params = _setup(args)
-        point = random_point(spec, params, args.seed)
     try:
-        w1 = parse_word(args.w1, spec.m)
-        w2 = parse_word(args.w2, spec.m)
+        w1 = parse_word(args.w1, point.spec.m)
+        w2 = parse_word(args.w2, point.spec.m)
     except ValueError as exc:
-        raise SystemExit2(str(exc))
+        raise UsageError(str(exc)) from exc
     eng = PointEngine(point, params)
     value = eng.trace_bracket_value(w1, w2)
     json.dump({"w1": args.w1, "w2": args.w2,
                "value": sqio.encode_complex(value)}, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
-    return 0
 
 
-def cmd_rank(args) -> int:
-    spec, params = _setup(args)
+def cmd_rank(args, report, point, params) -> None:
+    spec = args.spec
     if args.coords:
         try:
             coords = sqio.coords_from_dict(sqio.read_json(args.coords))
         except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise SystemExit2(f"cannot read coordinates file {args.coords}: {exc}")
+            raise UsageError(f"cannot read coordinates file {args.coords}: {exc}") from exc
     else:
         coords = random_coordinates(spec, params, args.seed)
     expected = spec.n * spec.d - spec.d * (spec.d - 1) // 2
     observed, svals = independence_rank(coords, args.family, params)
-    payload = {"expected": expected, "observed": observed,
-               "singular_values": [float(s) for s in svals]}
-    if args.out:
-        sqio.write_json(args.out, payload)
-    else:
-        json.dump(payload, sys.stdout, indent=1, sort_keys=True)
-        sys.stdout.write("\n")
-    report = Report()
+    _write(args, {"expected": expected, "observed": observed,
+                  "singular_values": [float(s) for s in svals]})
     report.add(f"independence-rank-{args.family}", "independent-function-count",
                abs(observed - expected), 0.5)
-    report.emit(None)
-    return report.exit_code()
 
 
-def cmd_flow(args) -> int:
-    spec, params = _setup(args)
-    point = random_point(spec, params, args.seed)
+def cmd_flow(args, report, point, params) -> None:
+    spec = point.spec
     k = args.k if args.k is not None else (1 if args.ham == "trT" else spec.m)
     fs = FlowSpec(hamiltonian=args.ham, k=k, time=args.time, eta=args.eta,
                   steps=args.steps)
-    tols = _tols(args)
     traj = ode_oracle(point, fs, params)
 
     fam = {"trZ": 4, "trY": 3, "trT": 2}[args.ham]
     js = [spec.m, 2 * spec.m] if fam != 2 else [1, 2]
     names = [f"family{fam}-j{j}" for j in js]
+    series = {name: [family_value(p, fam, j, fs.eta) for p in traj.points]
+              for name, j in zip(names, js)}
+    moments = [max(moment_residual(p, params)) for p in traj.points]
     rows = []
-    for time, p in zip(traj.times, traj.points):
+    for i, time in enumerate(traj.times):
         row = {"time": float(np.real(time))}
-        for name, j in zip(names, js):
-            row[name] = abs(family_value(p, fam, j, fs.eta))
-        row["moment_residual"] = max(moment_residual(p, params))
+        for name in names:
+            row[name] = abs(series[name][i])
+        row["moment_residual"] = moments[i]
         rows.append(row)
     out_csv = (args.out or "flow") + ".csv"
     with open(out_csv, "w", newline="") as fh:
@@ -342,15 +324,12 @@ def cmd_flow(args) -> int:
     sqio.write_json(endpoint_path, sqio.point_to_dict(traj.points[-1], params))
     print(f"wrote {out_csv} and {endpoint_path}", file=sys.stderr)
 
-    report = Report()
-    for name, j in zip(names, js):
-        series = [family_value(p, fam, j, fs.eta) for p in traj.points]
-        drift = max(abs(v - series[0]) for v in series) / max(1.0, abs(series[0]))
+    for name, values in series.items():
+        drift = max(abs(v - values[0]) for v in values) / max(1.0, abs(values[0]))
         report.add(f"conservation-{name}", "flow-conserves-own-family",
-                   drift, tols["drift"])
-    drift = max(max(moment_residual(p, params)) for p in traj.points)
-    report.add("conservation-moment", "flow-stays-on-shell", drift,
-               tols["drift"] * point.norm_scale())
+                   drift, args.tol["drift"])
+    report.add("conservation-moment", "flow-stays-on-shell", max(moments),
+               args.tol["drift"] * point.norm_scale())
     if fs.eta == 0:
         # self-calibrating check: the doubled-resolution endpoint must sit
         # within the oracle's own measured step sensitivity of the closed form
@@ -363,18 +342,14 @@ def cmd_flow(args) -> int:
         gap = max(np.linalg.norm(a - b) for a, b in zip(fine.X, closed.X))
         report.add("closed-form-agreement", "explicit-flow-solution",
                    gap, max(sensitivity, 1e-9 * point.norm_scale()))
-    report.emit(None)
-    return report.exit_code()
 
 
-def cmd_reduce(args) -> int:
-    spec, params = _setup(args)
-    point = random_point(spec, params, args.seed)
-    words = ["S", "X^%d S" % spec.m, "Z^%d S" % spec.m, "X^%d S X^%d S" % (spec.m, spec.m)]
+def cmd_reduce(args, report, point, params) -> None:
+    m = point.spec.m
+    words = ["S", "X^%d S" % m, "Z^%d S" % m, "X^%d S X^%d S" % (m, m)]
     if args.word:
         words.append(args.word)
-    h = random_h(spec.d, args.seed + 5)
-    report = Report()
+    h = random_h(point.spec.d, args.seed + 5)
     table = {}
     worst = 0.0
     for word in words:
@@ -384,42 +359,30 @@ def cmd_reduce(args) -> int:
         worst = max(worst, abs(val - val_acted))
     report.add("invariant-words-under-spin-reduction", "reduction-invariance",
                worst, 1e-12 * max(1.0, max(abs(complex(*v)) for v in table.values())))
-    if args.out:
-        sqio.write_json(args.out, {"invariants": table})
-    report.emit(None)
-    return report.exit_code()
+    _write(args, {"invariants": table})
 
 
-def cmd_dual(args) -> int:
-    spec, params = _setup(args)
-    point = random_point(spec, params, args.seed)
-    tols = _tols(args)
+def cmd_dual(args, report, point, params) -> None:
     dp = dual_point(point, params)
-    report = Report()
     report.add("dual-moment-residual", "dual-parameters-on-shell",
                dual_moment_residual(dp), 1e-9 * point.norm_scale() ** 2)
     pr = dp.as_rep_point()
     worst = 0.0
-    for j in (spec.m, 2 * spec.m):
+    for j in (point.spec.m, 2 * point.spec.m):
         eta = 0.37 - 0.21j
         worst = max(worst, abs(family_value(pr, 4, j, eta) - family_value(point, 1, j, eta)))
     report.add("family-swap-residual", "duality-exchanges-families",
-               worst, tols["duality"] * max(1.0, point.norm_scale() ** (2 * spec.m)))
-    if args.out:
-        payload = {
-            "note": dp.note,
-            "q": [sqio.encode_complex(v) for v in dp.params.q],
-            "X": [sqio.encode_matrix(mat) for mat in dp.X],
-            "Z": [sqio.encode_matrix(mat) for mat in dp.Z],
-        }
-        sqio.write_json(args.out, payload)
-    report.emit(None)
-    return report.exit_code()
+               worst, args.tol["duality"] * max(1.0, point.norm_scale() ** (2 * point.spec.m)))
+    _write(args, {
+        "note": dp.note,
+        "q": [sqio.encode_complex(v) for v in dp.params.q],
+        "X": [sqio.encode_matrix(mat) for mat in dp.X],
+        "Z": [sqio.encode_matrix(mat) for mat in dp.Z],
+    })
 
 
-def cmd_report(args) -> int:
-    tols = _tols(args)
-    report = Report()
+def cmd_report(args, report, point, params) -> None:
+    """The default suites; each cell draws its own parameters and points."""
     cells = [(m, d, n) for m in (1, 2, 3) for d in (1, 2, 3) for n in (2, 3, 4)]
     rng_seed = args.seed
     for (m, d, n) in cells:
@@ -434,7 +397,7 @@ def cmd_report(args) -> int:
             point = random_point(spec, params, rng_seed + i)
             worst = max(worst, max(moment_residual(point, params)) / point.norm_scale())
         report.add(f"moment-suite-m{m}d{d}n{n}", "moment-conditions",
-                   worst, tols["moment"])
+                   worst, args.tol["moment"])
         point = random_point(spec, params, rng_seed)
         eng = PointEngine(point, params)
         worst = 0.0
@@ -442,88 +405,105 @@ def cmd_report(args) -> int:
             for g in [("x", 0), ("y", m - 1), ("v", 1), ("w", d)]:
                 worst = max(worst, eng.moment_property_residual(s, g))
         report.add(f"property-suite-m{m}d{d}n{n}", "multiplicative-moment-identity",
-                   worst, tols["property"] * max(1.0, point.norm_scale() ** 3))
-    report.emit(args.out)
-    return report.exit_code()
+                   worst, args.tol["property"] * max(1.0, point.norm_scale() ** 3))
 
 
-# -- argument wiring --------------------------------------------------------------
+# -- the command table and the driver ---------------------------------------------
+
+SPEC = ("--spec", dict(type=_parse_spec, default=ModelSpec(2, 2, 2),
+                       help="model shape m,d,n (default 2,2,2)"))
+Q = ("--q", dict(type=_parse_q, default=None,
+                 help="deformation parameters 're,im;re,im;...'"))
+SEED = ("--seed", dict(type=int, default=1))
+TOL = ("--tol", dict(action="append", metavar="name=val"))
+OUT = ("--out", dict(default=None, help="output path"))
+DRAW = (SPEC, Q, SEED)
+
+
+class Command(NamedTuple):
+    help: str
+    body: Callable
+    options: tuple          # (flag, argparse keywords) pairs
+    source: str | None      # "point": --point file or drawn; "params": drawn q only
+    report: str | None      # where the report goes: "stdout", "--out", or nowhere
+
+
+COMMANDS = {
+    "gen": Command("write a random on-shell point file", cmd_gen,
+                   DRAW + (TOL, OUT), "point", "stdout"),
+    "verify": Command("run the verification suite on a point file", cmd_verify,
+                      (TOL, OUT, ("point", dict(help="point JSON file"))), "point", "--out"),
+    "commute": Command("pairwise bracket magnitudes within a family", cmd_commute,
+                       DRAW + (TOL, OUT, ("--family", dict(type=int, default=4,
+                                                           choices=(1, 2, 3, 4)))),
+                       "point", "stdout"),
+    "rank": Command("independent-function count of a reduced family", cmd_rank,
+                    DRAW + (OUT, ("--family", dict(default="G", choices=("G", "H"))),
+                            ("--coords", dict(default=None, help="coordinates JSON file"))),
+                    "params", "stdout"),
+    "bracket": Command("ad-hoc trace bracket of two token words", cmd_bracket,
+                       DRAW + (("w1", dict(help="first word, e.g. x0.x1")),
+                               ("w2", dict(help="second word, e.g. w1.v1.z1.x1")),
+                               ("--point", dict(default=None,
+                                                help="point JSON file (else generated)"))),
+                       "point", None),
+    "flow": Command("integrate a flow and report conservation", cmd_flow,
+                    DRAW + (TOL, OUT,
+                            ("--ham", dict(default="trT", choices=("trZ", "trY", "trT"))),
+                            ("--k", dict(type=int, default=None)),
+                            ("--time", dict(type=float, default=1.0)),
+                            ("--eta", dict(type=complex, default=0.0)),
+                            ("--steps", dict(type=int, default=200))),
+                    "point", "stdout"),
+    "reduce": Command("evaluate reduction-invariant words", cmd_reduce,
+                      DRAW + (OUT, ("--word", dict(default=None, help="extra word over X, Z, S"))),
+                      "point", "stdout"),
+    "dual": Command("emit the dual point and swap residuals", cmd_dual,
+                    DRAW + (TOL, OUT), "point", "stdout"),
+    "report": Command("run the default verification suites", cmd_report,
+                      (SEED, TOL, OUT, ("--points", dict(type=int, default=10,
+                                                         help="points per cell"))),
+                      None, "--out"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinquiver",
         description="Numerical workbench for spin cyclic quiver varieties")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--spec", type=_parse_spec, default=ModelSpec(2, 2, 2),
-                       help="model shape m,d,n (default 2,2,2)")
-        p.add_argument("--q", type=_parse_q, default=None,
-                       help="deformation parameters 're,im;re,im;...'")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--tol", action="append", metavar="name=val")
-        p.add_argument("--out", default=None, help="output path")
-
-    p = sub.add_parser("gen", help="write a random on-shell point file")
-    common(p)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("verify", help="run the verification suite on a point file")
-    common(p)
-    p.add_argument("point", help="point JSON file")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("commute", help="pairwise bracket magnitudes within a family")
-    common(p)
-    p.add_argument("--family", type=int, default=4, choices=(1, 2, 3, 4))
-    p.set_defaults(func=cmd_commute)
-
-    p = sub.add_parser("rank", help="independent-function count of a reduced family")
-    common(p)
-    p.add_argument("--family", default="G", choices=("G", "H"))
-    p.add_argument("--coords", default=None, help="coordinates JSON file")
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("bracket", help="ad-hoc trace bracket of two token words")
-    common(p)
-    p.add_argument("w1", help="first word, e.g. x0.x1")
-    p.add_argument("w2", help="second word, e.g. w1.v1.z1.x1")
-    p.add_argument("--point", default=None, help="point JSON file (else generated)")
-    p.set_defaults(func=cmd_bracket)
-
-    p = sub.add_parser("flow", help="integrate a flow and report conservation")
-    common(p)
-    p.add_argument("--ham", default="trT", choices=("trZ", "trY", "trT"))
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--time", type=float, default=1.0)
-    p.add_argument("--eta", type=complex, default=0.0)
-    p.add_argument("--steps", type=int, default=200)
-    p.set_defaults(func=cmd_flow)
-
-    p = sub.add_parser("reduce", help="evaluate reduction-invariant words")
-    common(p)
-    p.add_argument("--word", default=None, help="extra word over X, Z, S")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("dual", help="emit the dual point and swap residuals")
-    common(p)
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("report", help="run the default verification suites")
-    common(p)
-    p.add_argument("--points", type=int, default=10, help="points per cell")
-    p.set_defaults(func=cmd_report)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, kwargs in command.options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
+def _inputs(command: Command, args):
+    """The (point, params) a command works on, read from its point file or drawn."""
+    if command.source is None:
+        return None, None
+    if getattr(args, "point", None):
+        return _load_point(args.point)
+    spec, params = _setup(args)
+    return (random_point(spec, params, args.seed) if command.source == "point" else None), params
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
-    except SystemExit2 as exc:
-        return int(exc.code)
+        if TOL in command.options:
+            args.tol = _tols(args.tol)
+        point, params = _inputs(command, args)
+        report = Report()
+        command.body(args, report, point, params)
+        if command.report:
+            report.emit(args.out if command.report == "--out" else None)
+        return report.exit_code()
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except SpinQuiverError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 1

@@ -208,7 +208,8 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
 
     Returns the sampled trajectory; raises SingularFactor with the partial
     trajectory attached (args[1]) if an inverse fails mid-run, in a vector
-    field or while a sampled state is rebuilt into a point.  The eta-terms
+    field or while a sampled state is rebuilt into a point, or if a vector
+    field overflows or produces an invalid value.  The eta-terms
     are evaluated only when flow.eta != 0; the inverse that defines Theta is
     taken at every eta, so that an eta = 0 run stops where Theta stops being
     defined, as it would if the eta-terms were evaluated and multiplied by 0.
@@ -250,11 +251,12 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
     X, M = state
     for step in range(1, flow.steps + 1):
         try:
-            k1 = vf(X, M)
-            k2 = vf(X + 0.5 * h * k1[0], M + 0.5 * h * k1[1])
-            k3 = vf(X + 0.5 * h * k2[0], M + 0.5 * h * k2[1])
-            k4 = vf(X + h * k3[0], M + h * k3[1])
-        except np.linalg.LinAlgError as exc:
+            with np.errstate(over="raise", invalid="raise"):
+                k1 = vf(X, M)
+                k2 = vf(X + 0.5 * h * k1[0], M + 0.5 * h * k1[1])
+                k3 = vf(X + 0.5 * h * k2[0], M + 0.5 * h * k2[1])
+                k4 = vf(X + h * k3[0], M + h * k3[1])
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
             err = SingularFactor(f"oracle singular at step {step}", traj)
             raise err from exc
         X = X + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])

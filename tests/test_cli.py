@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from spinquiver.cli import main
 from spinquiver import io as sqio
@@ -181,3 +182,66 @@ def test_coords_round_trip_io(tmp_path):
     assert np.allclose(back.x, coords.x)
     assert np.allclose(back.a, coords.a)
     assert np.allclose(back.c, coords.c)
+
+
+def test_readme_commands(tmp_path, monkeypatch, capsys):
+    import pathlib
+    import shlex
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+    assert len(commands) == 9 and all(c[0] == "spinquiver" for c in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(argv[1:]) == 0, argv
+        out = capsys.readouterr().out
+        if out:
+            json.loads(out)  # exactly one JSON document, else "Extra data"
+
+
+def test_rank_without_out_prints_only_the_report(capsys):
+    assert run(["rank", "--spec", "2,2,3", "--seed", "2", "--family", "G"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [r["name"] for r in out["records"]] == ["independence-rank-G"]
+
+
+@pytest.mark.parametrize("tol, message", [
+    ("moment", "--tol needs name=value"),
+    ("moment=abc", "is not a number"),
+    ("momnet=1e-30", "unknown tolerance 'momnet'; known: moment, theta, property"),
+])
+def test_tol_errors_exit_2(tmp_path, capsys, tol, message):
+    out = tmp_path / "pt.json"
+    assert run(["gen", "--tol", tol, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "pt.json", "--spec", "9,9,9"],
+    ["verify", "pt.json", "--q", "1,0"],
+    ["verify", "pt.json", "--seed", "5"],
+    ["report", "--spec", "2,2,2"],
+    ["report", "--q", "1,0"],
+    ["bracket", "x0", "x0", "--tol", "moment=1"],
+    ["bracket", "x0", "x0", "--out", "b.json"],
+    ["rank", "--tol", "moment=1"],
+    ["reduce", "--tol", "moment=1"],
+], ids=" ".join)
+def test_commands_reject_options_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_oracle_overflow_emits_no_runtime_warning(tmp_path, capsys):
+    import warnings
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["flow", "--spec", "2,2,2", "--ham", "trZ", "--k", "2", "--time", "1.0",
+                    "--eta", "0.3-0.2j", "--out", str(tmp_path / "fl")])
+    assert code == 1
+    assert "error: oracle singular at step 11" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
