@@ -26,11 +26,11 @@ import numpy as np
 from . import io as sqio
 from .engine import PointEngine
 from .errors import SpinQuiverError, ZeroParameter
-from .families import (cycle_blocks, family_gradients, family_value,
-                       independence_rank, total_matrices)
+from .families import family_gradients, family_value, independence_rank
 from .flows import FlowSpec, closed_form_flow, ode_oracle
 from .params import ModelSpec, check_regularity, derive_params
-from .points import (moment_residual, random_coordinates, random_point, spin_data)
+from .points import (moment_residual, random_coordinates, random_point, spin_data,
+                     theta_blocks)
 from .reduction import (dual_moment_residual, dual_point, h_invariant_value,
                         random_h)
 from .words import cycle_power_sum, parse_word, spin_trace_word
@@ -115,14 +115,18 @@ def _parse_q(text: str):
     return out
 
 
-def _tols(items) -> dict:
-    tols = dict(DEFAULT_TOLS)
+def _tols(items, names) -> dict:
+    """The command's tolerances by name, with the --tol overrides applied."""
+    tols = {name: DEFAULT_TOLS[name] for name in names}
     for item in items or ():
         name, _, value = item.partition("=")
         if not value:
             raise UsageError(f"--tol needs name=value, got {item!r}")
-        if name not in tols:
+        if name not in DEFAULT_TOLS:
             raise UsageError(f"unknown tolerance {name!r}; known: {', '.join(DEFAULT_TOLS)}")
+        if name not in tols:
+            raise UsageError(f"this command does not read tolerance {name!r}; "
+                             f"it reads: {', '.join(tols)}")
         try:
             tols[name] = float(value)
         except ValueError:
@@ -190,7 +194,7 @@ def cmd_verify(args, report, point, params) -> None:
                residuals[-1], tols["moment"] * scale)
 
     n = spec.n
-    theta = cycle_blocks("e", total_matrices(point).Theta, spec.m)
+    theta = theta_blocks(point)
     for s in range(1, spec.m):
         report.add(f"theta-block-{s}", "cycle-moment-decomposition",
                    float(np.linalg.norm(theta[s] - params.q[s] * np.eye(n))),
@@ -248,13 +252,13 @@ def cmd_commute(args, report, point, params) -> None:
     size = len(members)
     mags = np.zeros((size, size))
     grads = [family_gradients(eng, family, j, eta) for j, eta in members]
-    scales = [max(1.0, abs(family_value(point, family, j, eta))) for j, eta in members]
     worst = 0.0
     for i in range(size):
         for k in range(i + 1, size):
-            val = abs(eng.bracket_gradients(grads[i], grads[k]))
-            mags[i, k] = mags[k, i] = val
-            worst = max(worst, val / max(scales[i], scales[k]))
+            val, mass = eng.bracket_gradients(grads[i], grads[k], with_mass=True)
+            mags[i, k] = mags[k, i] = abs(val)
+            # relative to the bracket's pre-cancellation term mass
+            worst = max(worst, abs(val) / max(1.0, mass))
     report.add(f"involutivity-family-{family}", f"commuting-family-{family}",
                worst, args.tol["bracket"])
     _write(args, {
@@ -415,7 +419,6 @@ SPEC = ("--spec", dict(type=_parse_spec, default=ModelSpec(2, 2, 2),
 Q = ("--q", dict(type=_parse_q, default=None,
                  help="deformation parameters 're,im;re,im;...'"))
 SEED = ("--seed", dict(type=int, default=1))
-TOL = ("--tol", dict(action="append", metavar="name=val"))
 OUT = ("--out", dict(default=None, help="output path"))
 DRAW = (SPEC, Q, SEED)
 
@@ -426,17 +429,19 @@ class Command(NamedTuple):
     options: tuple          # (flag, argparse keywords) pairs
     source: str | None      # "point": --point file or drawn; "params": drawn q only
     report: str | None      # where the report goes: "stdout", "--out", or nowhere
+    tols: tuple = ()        # the DEFAULT_TOLS names the body reads; --tol takes only these
 
 
 COMMANDS = {
     "gen": Command("write a random on-shell point file", cmd_gen,
-                   DRAW + (TOL, OUT), "point", "stdout"),
+                   DRAW + (OUT,), "point", "stdout", ("moment",)),
     "verify": Command("run the verification suite on a point file", cmd_verify,
-                      (TOL, OUT, ("point", dict(help="point JSON file"))), "point", "--out"),
+                      (OUT, ("point", dict(help="point JSON file"))), "point", "--out",
+                      ("moment", "theta", "property", "spin", "identity")),
     "commute": Command("pairwise bracket magnitudes within a family", cmd_commute,
-                       DRAW + (TOL, OUT, ("--family", dict(type=int, default=4,
-                                                           choices=(1, 2, 3, 4)))),
-                       "point", "stdout"),
+                       DRAW + (OUT, ("--family", dict(type=int, default=4,
+                                                      choices=(1, 2, 3, 4)))),
+                       "point", "stdout", ("bracket",)),
     "rank": Command("independent-function count of a reduced family", cmd_rank,
                     DRAW + (OUT, ("--family", dict(default="G", choices=("G", "H"))),
                             ("--coords", dict(default=None, help="coordinates JSON file"))),
@@ -448,22 +453,22 @@ COMMANDS = {
                                                 help="point JSON file (else generated)"))),
                        "point", None),
     "flow": Command("integrate a flow and report conservation", cmd_flow,
-                    DRAW + (TOL, OUT,
+                    DRAW + (OUT,
                             ("--ham", dict(default="trT", choices=("trZ", "trY", "trT"))),
                             ("--k", dict(type=int, default=None)),
                             ("--time", dict(type=float, default=1.0)),
                             ("--eta", dict(type=complex, default=0.0)),
                             ("--steps", dict(type=int, default=200))),
-                    "point", "stdout"),
+                    "point", "stdout", ("drift",)),
     "reduce": Command("evaluate reduction-invariant words", cmd_reduce,
                       DRAW + (OUT, ("--word", dict(default=None, help="extra word over X, Z, S"))),
                       "point", "stdout"),
     "dual": Command("emit the dual point and swap residuals", cmd_dual,
-                    DRAW + (TOL, OUT), "point", "stdout"),
+                    DRAW + (OUT,), "point", "stdout", ("duality",)),
     "report": Command("run the default verification suites", cmd_report,
-                      (SEED, TOL, OUT, ("--points", dict(type=int, default=10,
-                                                         help="points per cell"))),
-                      None, "--out"),
+                      (SEED, OUT, ("--points", dict(type=int, default=10,
+                                                    help="points per cell"))),
+                      None, "--out", ("moment", "property")),
 }
 
 
@@ -476,6 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         for flag, kwargs in command.options:
             p.add_argument(flag, **kwargs)
+        if command.tols:
+            p.add_argument("--tol", action="append", metavar="name=val",
+                           help=f"override a tolerance: {', '.join(command.tols)}")
     return parser
 
 
@@ -490,11 +498,14 @@ def _inputs(command: Command, args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse has printed its usage error (code 2) or --help (0)
+        return exc.code
     command = COMMANDS[args.command]
     try:
-        if TOL in command.options:
-            args.tol = _tols(args.tol)
+        if command.tols:
+            args.tol = _tols(args.tol, command.tols)
         point, params = _inputs(command, args)
         report = Report()
         command.body(args, report, point, params)

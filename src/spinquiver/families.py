@@ -5,10 +5,12 @@ The four spectral-parameter families are symmetric functions of
     1: (1 + eta Theta^(-1)) X        2: (1 + eta Theta^(-1)) (1 + XY)
     3: (1 + eta Theta) Y             4: (1 + eta Theta) (Y + X^(-1))
 
-on the total cycle matrices, with Theta = (1 + XY)(1 + YX)^(-1) the cycle
-moment map.  On the X-invertible locus they reduce to the spin RS families
-G, H, F in the quadruple (A, B, bigA, bigC), which is what the independence
-counts and the spectral-curve constraints are computed from.  The family,
+on the cycle matrices, with Theta = (1 + XY)(1 + YX)^(-1) the cycle moment
+map.  Each cycle matrix is homogeneous in the cyclic grading and is computed
+as a cyclic.CycleMatrix, one n x n block per vertex.  On the X-invertible
+locus they reduce to the spin RS families G, H, F in the quadruple
+(A, B, bigA, bigC), which is what the independence counts and the
+spectral-curve constraints are computed from.  The family,
 power-trace and qu gradients hand their x, y and z letter blocks to
 PointEngine.letter_gradients, where the chain rule for z = y + x^(-1) lives.
 """
@@ -20,10 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brackets import phi_localized_word, phi_word_terms
+from .cyclic import CycleMatrix
 from .engine import PointEngine
 from .errors import IllConditioned, SingularFactor
 from .params import ParameterSet
-from .points import LocalCoordinates, RepPoint, ReducedQuadruple, quadruple_from_coordinates
+from .points import (LocalCoordinates, RepPoint, ReducedQuadruple, quadruple_from_coordinates,
+                     theta_blocks)
 from .words import WordSum, letter_tail_head
 
 FAMILIES = (1, 2, 3, 4)
@@ -31,7 +35,7 @@ FAMILIES = (1, 2, 3, 4)
 
 @dataclass(frozen=True)
 class TotalMatrices:
-    """Assembled cycle-space (m n x m n) matrices of a point."""
+    """Dense m n x m n view of a point's cycle matrices, assembled from their blocks."""
 
     Xt: np.ndarray
     Yt: np.ndarray
@@ -56,71 +60,45 @@ class EtaPolynomial:
         return out
 
 
-def cycle_total(kind: str, blocks) -> np.ndarray:
-    """The m n x m n cycle matrix holding block s where the letter (kind, s) sits."""
-    m, n = len(blocks), blocks[0].shape[0]
-    out = np.zeros((m * n, m * n), dtype=complex)
-    for s, mat in enumerate(blocks):
-        tail, head = letter_tail_head((kind, s), m)
-        out[tail * n:(tail + 1) * n, head * n:(head + 1) * n] = mat
-    return out
-
-
-def cycle_blocks(kind: str, total: np.ndarray, m: int) -> list:
-    """The m blocks of a cycle matrix where the letters (kind, s) sit; inverts cycle_total."""
-    n = total.shape[0] // m
-    out = []
-    for s in range(m):
-        tail, head = letter_tail_head((kind, s), m)
-        out.append(total[tail * n:(tail + 1) * n, head * n:(head + 1) * n])
-    return out
-
-
 def total_matrices(point: RepPoint) -> TotalMatrices:
-    """Assemble Xt, Yt, Zt and the block-diagonal Theta from the point blocks."""
-    eye = np.eye(point.spec.n)
-    theta = []
-    for s in range(point.spec.m):
-        prev = (s - 1) % point.spec.m
-        den = eye + point.Y[prev] @ point.X[prev]
-        try:
-            theta.append((eye + point.X[s] @ point.Y[s]) @ np.linalg.inv(den))
-        except np.linalg.LinAlgError as exc:
-            raise SingularFactor(f"Id + Y_{prev} X_{prev} is singular") from exc
-    return TotalMatrices(Xt=cycle_total("x", point.X), Yt=cycle_total("y", point.Y),
-                         Zt=None if point.Z is None else cycle_total("z", point.Z),
-                         Theta=cycle_total("e", theta))
+    """Dense Xt, Yt, Zt and the block-diagonal Theta, built from the graded blocks."""
+    theta = CycleMatrix(0, theta_blocks(point)).dense()
+    return TotalMatrices(Xt=_u_cycle(point, "x").dense(), Yt=_u_cycle(point, "y").dense(),
+                         Zt=None if point.Z is None else _u_cycle(point, "z").dense(),
+                         Theta=theta)
 
 
-# the total kind of U in each family matrix (1 + eta T) U, as _u_total names it
+def _u_cycle(point: RepPoint, kind: str) -> CycleMatrix:
+    """The cycle matrix U of kind x, y, z or t = 1 + XY."""
+    if kind == "x":
+        return CycleMatrix.of_letters("x", point.X)
+    if kind == "y":
+        return CycleMatrix.of_letters("y", point.Y)
+    if kind == "z":
+        return CycleMatrix.of_letters("z", point.require_Z())
+    if kind == "t":
+        return 1 + _u_cycle(point, "x") @ _u_cycle(point, "y")
+    raise ValueError(f"unknown cycle kind {kind!r}")
+
+
+# the cycle kind of U in each family matrix (1 + eta T) U
 _FAMILY_U = {1: "x", 2: "t", 3: "y", 4: "z"}
 
 
-def _family_factors(tm: TotalMatrices, family: int):
-    """(T, U) with family matrix (1 + eta T) U: T = Theta^(-1) for 1, 2 and Theta for 3, 4."""
-    if family == 1:
-        return np.linalg.inv(tm.Theta), tm.Xt
-    if family == 2:
-        return np.linalg.inv(tm.Theta), np.eye(tm.Xt.shape[0]) + tm.Xt @ tm.Yt
-    if family == 3:
-        return tm.Theta, tm.Yt
-    if family == 4:
-        if tm.Zt is None:
-            raise SingularFactor("family 4 needs invertible X")
-        return tm.Theta, tm.Zt
-    raise ValueError(f"family must be 1..4, got {family}")
-
-
-def _family_matrix(tm: TotalMatrices, family: int, eta: complex) -> np.ndarray:
-    T, U = _family_factors(tm, family)
-    return (np.eye(U.shape[0]) + eta * T) @ U
+def _family_factors(point: RepPoint, family: int):
+    """(Theta, T, U) with family matrix (1 + eta T) U: T = Theta^(-1) for 1, 2, Theta for 3, 4."""
+    if family not in FAMILIES:
+        raise ValueError(f"family must be 1..4, got {family}")
+    if family == 4 and point.Z is None:
+        raise SingularFactor("family 4 needs invertible X")
+    theta = CycleMatrix(0, theta_blocks(point))
+    return theta, theta.inv() if family < 3 else theta, _u_cycle(point, _FAMILY_U[family])
 
 
 def family_value(point: RepPoint, family: int, j: int, eta: complex) -> complex:
     """tr M(eta)^j of the chosen family; families 1, 3, 4 vanish unless m | j."""
-    tm = total_matrices(point)
-    M = _family_matrix(tm, family, eta)
-    return complex(np.trace(np.linalg.matrix_power(M, j)))
+    _, T, U = _family_factors(point, family)
+    return ((1 + eta * T) @ U).power(j).trace()
 
 
 def family_gradients(eng: PointEngine, family: int, j: int, eta: complex) -> dict:
@@ -129,30 +107,37 @@ def family_gradients(eng: PointEngine, family: int, j: int, eta: complex) -> dic
     Returned as the D-dictionary of letter blocks consumed by
     PointEngine.bracket_gradients.
     """
-    tm = total_matrices(eng.point)
-    T, U = _family_factors(tm, family)
-    X, Y, Theta = tm.Xt, tm.Yt, tm.Theta
-    eye = np.eye(X.shape[0])
-    damp = eye + eta * T
-    P = j * np.linalg.matrix_power(damp @ U, j - 1)
+    Theta, T, U = _family_factors(eng.point, family)
+    X, Y = _u_cycle(eng.point, "x"), _u_cycle(eng.point, "y")
+    damp = 1 + eta * T
+    P = j * (damp @ U).power(j - 1)
     S = eta * (U @ P)
     if family in (1, 2):
         S = -(T @ S @ T)    # chain through T = Theta^(-1)
 
     # chain S = (dF/dTheta)^T through Theta = (1 + XY)(1 + YX)^(-1)
-    Winv = np.linalg.inv(eye + Y @ X)
+    Winv = (1 + Y @ X).inv()
     qs = {"x": Y @ Winv @ S - Winv @ S @ Theta @ Y, "y": Winv @ S @ X - X @ Winv @ S @ Theta}
     for kind, Q in _u_chain(eng.point, _FAMILY_U[family], P @ damp).items():
-        qs[kind] = qs.get(kind, 0) + Q
+        qs[kind] = qs[kind] + Q if kind in qs else Q
     return _cycle_grads(eng, qs)
 
 
 def _cycle_grads(eng: PointEngine, qs: dict) -> dict:
-    """Gradient blocks over the base generators from {letter kind: (dF/d cycle total)^T}."""
-    blocks = {kind: cycle_blocks(kind, Q.T, eng.m) for kind, Q in qs.items()}
+    """Gradient blocks over the base generators from {letter kind: (dF/d cycle matrix)^T}.
+
+    The letter (kind, s) from tail to head reads Q's block from head to tail;
+    a Q of another degree has no block there and contributes nothing.
+    """
+    pairs = []
     # vertex by vertex: bracket_gradients sums its terms in key order x_0, y_0, x_1, ...
-    return eng.letter_gradients(((kind, s), b[s].T) for s in range(eng.m)
-                                for kind, b in blocks.items())
+    for s in range(eng.m):
+        for kind, Q in qs.items():
+            tail, head = letter_tail_head((kind, s), eng.m)
+            block = Q.block(head, tail)
+            if block is not None:
+                pairs.append(((kind, s), block))
+    return eng.letter_gradients(pairs)
 
 
 def family_poly(point: RepPoint, family: int, j: int,
@@ -162,9 +147,8 @@ def family_poly(point: RepPoint, family: int, j: int,
     Samples at the (j+1)-st roots of unity and solves the Vandermonde system;
     raises IllConditioned when the solve does not reproduce the samples.
     """
-    tm = total_matrices(point)
-    return _interp_poly(lambda eta: complex(np.trace(np.linalg.matrix_power(
-        _family_matrix(tm, family, eta), j))), j, solve_tol)
+    _, T, U = _family_factors(point, family)
+    return _interp_poly(lambda eta: ((1 + eta * T) @ U).power(j).trace(), j, solve_tol)
 
 
 def _interp_poly(fn, degree: int, solve_tol: float = 1e-8) -> EtaPolynomial:
@@ -538,25 +522,12 @@ def _decide_rank(jac: np.ndarray, sv_tol: float, gap_factor: float,
 
 # -- degenerate integrability ---------------------------------------------------
 
-def _u_total(point: RepPoint, kind: str) -> np.ndarray:
-    """The cycle total U of kind x, y, z or t = 1 + XY."""
-    if kind == "x":
-        return cycle_total("x", point.X)
-    if kind == "y":
-        return cycle_total("y", point.Y)
-    if kind == "z":
-        return cycle_total("z", point.require_Z())
-    if kind == "t":
-        return np.eye(point.spec.m * point.spec.n) + _u_total(point, "x") @ _u_total(point, "y")
-    raise ValueError(f"unknown total kind {kind!r}")
-
-
 def qu_generator(point: RepPoint, alpha: int, beta: int, ell: int, U: str,
                  engine: PointEngine | None = None) -> complex:
     """tr(W_alpha V_beta U^(l m)), the framing vectors meeting the vertex-0 block of U^(l m)."""
     eng = engine or PointEngine(point)
     power = ell * eng.m if U in ("x", "y", "z") else ell
-    U00 = cycle_blocks("e", np.linalg.matrix_power(_u_total(point, U), power), eng.m)[0]
+    U00 = _u_cycle(point, U).power(power).block(0, 0)
     W, V = eng.letter_block(("w", alpha)), eng.letter_block(("v", beta))
     return complex(np.trace(W @ V @ U00))
 
@@ -567,13 +538,13 @@ def qu_gradients(point: RepPoint, alpha: int, beta: int, ell: int, U: str,
     eng = engine or PointEngine(point)
     m, n = eng.m, eng.n
     W, V = eng.letter_block(("w", alpha)), eng.letter_block(("v", beta))
-    Ut = _u_total(point, U)
+    Uc = _u_cycle(point, U)
     K = ell * m if U in ("x", "y", "z") else ell
-    UK00 = cycle_blocks("e", np.linalg.matrix_power(Ut, K), m)[0]
-    WV = cycle_total("e", [W @ V] + [np.zeros((n, n))] * (m - 1))
-    Q_U = np.zeros_like(Ut)
+    UK00 = Uc.power(K).block(0, 0)
+    WV = CycleMatrix.of_letters("e", [W @ V] + [np.zeros((n, n))] * (m - 1))
+    Q_U = CycleMatrix((K - 1) * Uc.deg, np.zeros_like(Uc.blocks))
     for p in range(K):
-        Q_U += np.linalg.matrix_power(Ut, K - 1 - p) @ WV @ np.linalg.matrix_power(Ut, p)
+        Q_U = Q_U + Uc.power(K - 1 - p) @ WV @ Uc.power(p)
     grads = _cycle_grads(eng, _u_chain(point, U, Q_U))
     grads[("w", alpha)] = (V @ UK00).T
     grads[("v", beta)] = (UK00 @ W).T
@@ -582,16 +553,16 @@ def qu_gradients(point: RepPoint, alpha: int, beta: int, ell: int, U: str,
 
 def power_trace_gradients(point: RepPoint, U: str, K: int,
                           engine: PointEngine | None = None) -> dict:
-    """Gradient dictionary of tr U^K for U in {x, y, z, t=1+xy} total matrices."""
+    """Gradient dictionary of tr U^K for U in {x, y, z, t=1+xy} cycle matrices."""
     eng = engine or PointEngine(point)
-    Q_U = K * np.linalg.matrix_power(_u_total(point, U), K - 1)
+    Q_U = K * _u_cycle(point, U).power(K - 1)
     return _cycle_grads(eng, _u_chain(point, U, Q_U))
 
 
-def _u_chain(point: RepPoint, U: str, Q_U: np.ndarray) -> dict:
+def _u_chain(point: RepPoint, U: str, Q_U: CycleMatrix) -> dict:
     """{letter kind: Q} for Q_U = (dF/dU)^T; only t = 1 + XY is not a letter kind."""
     if U == "t":
-        return {"x": _u_total(point, "y") @ Q_U, "y": Q_U @ _u_total(point, "x")}
+        return {"x": _u_cycle(point, "y") @ Q_U, "y": Q_U @ _u_cycle(point, "x")}
     return {U: Q_U}
 
 
@@ -638,8 +609,8 @@ def spect_residual(point: RepPoint, params: ParameterSet, U: str) -> float:
             raise SingularFactor("Y_0 not invertible") from exc
     else:
         raise ValueError("U must be 'y' or 'z'")
-    diag = cycle_blocks("e", np.linalg.matrix_power(_u_total(point, U), m), m)
-    blk0, blk1 = diag[0], diag[1 % m]
+    diag = _u_cycle(point, U).power(m)
+    blk0, blk1 = diag.block(0, 0), diag.block(1 % m, 1 % m)
     try:
         lhs = Mmat @ blk1 @ np.linalg.inv(Mmat)
     except np.linalg.LinAlgError as exc:

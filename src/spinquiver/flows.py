@@ -1,15 +1,17 @@
 """Explicit Hamiltonian flows and a fixed-step RK4 oracle.
 
-The three integrable flows admit closed forms on the total matrices:
+The three integrable flows admit closed forms on the cycle matrices:
 
     tr Z^k:        X(t) = X(0) exp(-t Z^k),          Z, V, W constant
     tr Y^k:        X(t) = X(0) exp(-t Y^k) + Y^(-1)(exp(-t Y^k) - 1),   Y const
     tr (1+XY)^k:   X(t) = exp(-t T^k) X(0),          T = 1 + XY constant
 
-all with d/dt normalized as (1/k) {tr U^k, -}.  The analytic factor in the
-second flow is evaluated through an augmented-block exponential, so Y need
-not be invertible.  The oracle integrates the same vector fields (at general
-spectral parameter) with classical RK4; it exists to cross-check the closed
+all with d/dt normalized as (1/k) {tr U^k, -}.  The exponents have cyclic
+degree 0, so each exponential is taken block by block on a
+cyclic.CycleMatrix.  The analytic factor in the second flow is evaluated
+through an augmented-block exponential, so Y need not be invertible.  The
+oracle integrates the same vector fields (at general spectral parameter) with
+classical RK4 on CycleMatrix states; it exists to cross-check the closed
 forms and to drive conservation checks, not as a production integrator.
 
 Each vector field evaluates its eta-terms (Theta or Theta^(-1), the shift
@@ -27,10 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .cyclic import CycleMatrix
 from .errors import SingularFactor
 from .params import ParameterSet
 from .points import RepPoint, _readonly
-from .families import cycle_blocks, total_matrices
 
 _COND_LIMIT = 1e8
 
@@ -97,92 +99,91 @@ def flow_Z(point: RepPoint, k: int, time: complex) -> RepPoint:
     m = point.spec.m
     if k % m:
         raise ValueError("tr Z^k flows need m | k")
-    tm = total_matrices(point)
-    if tm.Zt is None:
+    if point.Z is None:
         raise SingularFactor("flow of tr Z^k needs invertible X")
-    Xt = tm.Xt @ expm(-time * np.linalg.matrix_power(tm.Zt, k))
-    return _point_with_XZ(point, cycle_blocks("x", Xt, m), list(point.Z))
+    X, Z = CycleMatrix.of_letters("x", point.X), CycleMatrix.of_letters("z", point.Z)
+    Xt = X @ (-time * Z.power(k)).map(expm)
+    return _point_with_XZ(point, Xt.letters("x"), list(point.Z))
 
 
 def flow_Y(point: RepPoint, k: int, time: complex) -> RepPoint:
     """Closed-form flow of tr Y^k (k a multiple of m); Y, V, W exactly constant."""
     spec = point.spec
-    m = spec.m
-    if k % m:
+    if k % spec.m:
         raise ValueError("tr Y^k flows need m | k")
-    tm = total_matrices(point)
-    A = -time * np.linalg.matrix_power(tm.Yt, k)
-    E = expm(A)
+    X, Y = CycleMatrix.of_letters("x", point.X), CycleMatrix.of_letters("y", point.Y)
+    A = -time * Y.power(k)
     # Y^(-1)(E - 1) = -time * Y^(k-1) phi1(A), no inversion needed
-    second = -time * np.linalg.matrix_power(tm.Yt, k - 1) @ phi1(A)
-    Xt = tm.Xt @ E + second
-    return RepPoint.make(spec, cycle_blocks("x", Xt, m), point.Y, point.V, point.W)
+    Xt = X @ A.map(expm) - time * Y.power(k - 1) @ A.map(phi1)
+    return RepPoint.make(spec, Xt.letters("x"), point.Y, point.V, point.W)
 
 
 def flow_T(point: RepPoint, k: int, time: complex) -> RepPoint:
     """Closed-form flow of tr (1+XY)^k; T, V, W exactly constant."""
-    spec = point.spec
-    m, n = spec.m, spec.n
-    tm = total_matrices(point)
-    N = m * n
-    T = np.eye(N) + tm.Xt @ tm.Yt
-    Xt = expm(-time * np.linalg.matrix_power(T, k)) @ tm.Xt
-    Xb = cycle_blocks("x", Xt, m)
-    Tb = cycle_blocks("e", T, m)
-    eye = np.eye(n)
-    Yb = []
-    for s in range(m):
+    X = CycleMatrix.of_letters("x", point.X)
+    T = 1 + X @ CycleMatrix.of_letters("y", point.Y)
+    Xt = (-time * T.power(k)).map(expm) @ X
+    return _point_with_XT(point, Xt.letters("x"), T.blocks)
+
+
+def _point_with_XT(point: RepPoint, Xb, Tb) -> RepPoint:
+    """The point with blocks X_s and Y_s = X_s^(-1) (T_s - 1), where T = 1 + XY."""
+    eye, Y = np.eye(point.spec.n), []
+    for s in range(point.spec.m):
         try:
-            Yb.append(np.linalg.inv(Xb[s]) @ (Tb[s] - eye))
+            Y.append(np.linalg.inv(Xb[s]) @ (Tb[s] - eye))
         except np.linalg.LinAlgError as exc:
-            raise SingularFactor(f"X_{s} singular at flow endpoint") from exc
-    return RepPoint.make(spec, Xb, Yb, point.V, point.W)
+            raise SingularFactor(
+                f"X_{s} singular, so Y_{s} = X_{s}^(-1) (T_{s} - 1) is undefined") from exc
+    return RepPoint.make(point.spec, Xb, Y, point.V, point.W)
 
 
 # -- RK4 oracle ---------------------------------------------------------------
+#
+# The fields act on CycleMatrix states: X of degree +1, Z and Y of degree -1,
+# U = 1 + XY of degree 0.
 
-def _vf_Z(Xt, Zt, k, eta):
-    ZX_inv = np.linalg.inv(Zt @ Xt)         # Theta = XZ (ZX)^(-1) needs ZX invertible
+def _vf_Z(X, Z, k, eta):
+    ZX_inv = (Z @ X).inv()                  # Theta = XZ (ZX)^(-1) needs ZX invertible
     if eta == 0:
-        Ukm1 = np.linalg.matrix_power(Zt, k - 1)
-        dX = -(Xt @ Ukm1 @ Zt)
+        Ukm1 = Z.power(k - 1)
+        dX = -(X @ Ukm1 @ Z)
     else:
-        Theta = Xt @ Zt @ ZX_inv
-        U = Zt @ (np.eye(Xt.shape[0]) + eta * Theta)
-        Ukm1 = np.linalg.matrix_power(U, k - 1)
-        dX = -eta * (Theta @ Ukm1 @ Zt @ Xt) - Xt @ Ukm1 @ Zt
-    dZ = -(Zt @ Ukm1 @ Zt) + Ukm1 @ Zt @ Zt
+        Theta = X @ Z @ ZX_inv
+        U = Z @ (1 + eta * Theta)
+        Ukm1 = U.power(k - 1)
+        dX = -eta * (Theta @ Ukm1 @ Z @ X) - X @ Ukm1 @ Z
+    dZ = -(Z @ Ukm1 @ Z) + Ukm1 @ Z @ Z
     return dX, dZ
 
 
-def _vf_Y(Xt, Yt, k, eta):
-    eye = np.eye(Xt.shape[0])
-    W = eye + Yt @ Xt
-    W_inv = np.linalg.inv(W)                # Theta = (1 + XY)(1 + YX)^(-1)
+def _vf_Y(X, Y, k, eta):
+    W = 1 + Y @ X
+    W_inv = W.inv()                         # Theta = (1 + XY)(1 + YX)^(-1)
     if eta == 0:
-        Ukm1 = np.linalg.matrix_power(Yt, k - 1)
-        dX = -Ukm1 - Xt @ Ukm1 @ Yt
+        Ukm1 = Y.power(k - 1)
+        dX = -Ukm1 - X @ Ukm1 @ Y
     else:
-        Theta = (eye + Xt @ Yt) @ W_inv
-        U = Yt @ (eye + eta * Theta)
-        Ukm1 = np.linalg.matrix_power(U, k - 1)
-        dX = -Ukm1 - Xt @ Ukm1 @ Yt - eta * (Theta @ Ukm1 @ W)
-    dY = -(Yt @ Ukm1 @ Yt) + Ukm1 @ Yt @ Yt
+        Theta = (1 + X @ Y) @ W_inv
+        U = Y @ (1 + eta * Theta)
+        Ukm1 = U.power(k - 1)
+        dX = -Ukm1 - X @ Ukm1 @ Y - eta * (Theta @ Ukm1 @ W)
+    dY = -(Y @ Ukm1 @ Y) + Ukm1 @ Y @ Y
     return dX, dY
 
 
-def _vf_T(Xt, Ut, k, eta):
-    Xinv = np.linalg.inv(Xt)                # Theta^(-1) = X^(-1) U X U^(-1)
-    Uinv = np.linalg.inv(Ut)
+def _vf_T(X, U, k, eta):
+    Xinv = X.inv()                          # Theta^(-1) = X^(-1) U X U^(-1)
+    Uinv = U.inv()
     if eta == 0:
-        Ukm1 = np.linalg.matrix_power(Ut, k - 1)
-        dX = -(Ukm1 @ Ut @ Xt)
+        Ukm1 = U.power(k - 1)
+        dX = -(Ukm1 @ U @ X)
     else:
-        Theta_inv = Xinv @ Ut @ Xt @ Uinv
-        U_eta = Ut @ (np.eye(Xt.shape[0]) + eta * Theta_inv)
-        Ukm1 = np.linalg.matrix_power(U_eta, k - 1)
-        dX = -(Ukm1 @ Ut @ Xt) - eta * (Xt @ Theta_inv @ Ukm1 @ Ut)
-    dU = -(Ukm1 @ Ut @ Ut) + Ut @ Ukm1 @ Ut
+        Theta_inv = Xinv @ U @ X @ Uinv
+        U_eta = U @ (1 + eta * Theta_inv)
+        Ukm1 = U_eta.power(k - 1)
+        dX = -(Ukm1 @ U @ X) - eta * (X @ Theta_inv @ Ukm1 @ U)
+    dU = -(Ukm1 @ U @ U) + U @ Ukm1 @ U
     return dX, dU
 
 
@@ -215,34 +216,23 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
     defined, as it would if the eta-terms were evaluated and multiplied by 0.
     """
     spec = point.spec
-    m, n = spec.m, spec.n
-    if flow.hamiltonian in ("trZ", "trY") and flow.k % m:
+    if flow.hamiltonian in ("trZ", "trY") and flow.k % spec.m:
         raise ValueError("trZ/trY flows need m | k")
-    tm = total_matrices(point)
+    X = CycleMatrix.of_letters("x", point.X)
     if flow.hamiltonian == "trZ":
-        if tm.Zt is None:
+        if point.Z is None:
             raise SingularFactor("oracle for tr Z^k needs invertible X")
-        state = (tm.Xt.copy(), tm.Zt.copy())
-        vf = lambda X, M: _vf_Z(X, M, flow.k, flow.eta)
-        rebuild = lambda X, M: _point_with_XZ(
-            point, cycle_blocks("x", X, m), cycle_blocks("z", M, m))
+        state = (X, CycleMatrix.of_letters("z", point.Z))
+        rebuild = lambda X, M: _point_with_XZ(point, X.letters("x"), M.letters("z"))
     elif flow.hamiltonian == "trY":
-        state = (tm.Xt.copy(), tm.Yt.copy())
-        vf = lambda X, M: _vf_Y(X, M, flow.k, flow.eta)
-        rebuild = lambda X, M: RepPoint.make(
-            spec, cycle_blocks("x", X, m), cycle_blocks("y", M, m), point.V, point.W)
+        state = (X, CycleMatrix.of_letters("y", point.Y))
+        rebuild = lambda X, M: RepPoint.make(spec, X.letters("x"), M.letters("y"),
+                                             point.V, point.W)
     else:
-        U0 = np.eye(m * n, dtype=complex) + tm.Xt @ tm.Yt
-        state = (tm.Xt.copy(), U0)
-
-        def rebuild_T(X, U):
-            Xb = cycle_blocks("x", X, m)
-            eye = np.eye(n)
-            Yb = [np.linalg.inv(xb) @ (ub - eye) for xb, ub in zip(Xb, cycle_blocks("e", U, m))]
-            return RepPoint.make(spec, Xb, Yb, point.V, point.W)
-
-        vf = lambda X, M: _vf_T(X, M, flow.k, flow.eta)
-        rebuild = rebuild_T
+        state = (X, 1 + X @ CycleMatrix.of_letters("y", point.Y))
+        rebuild = lambda X, M: _point_with_XT(point, X.letters("x"), M.blocks)
+    field = {"trZ": _vf_Z, "trY": _vf_Y, "trT": _vf_T}[flow.hamiltonian]
+    vf = lambda X, M: field(X, M, flow.k, flow.eta)
 
     h = flow.time / flow.steps
     stride = max(1, flow.steps // samples)

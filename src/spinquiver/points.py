@@ -290,6 +290,24 @@ def framing_product(point: RepPoint, reverse: bool = True) -> np.ndarray:
     return out
 
 
+def theta_blocks(point: RepPoint) -> np.ndarray:
+    """The (m, n, n) stack of Theta_s = (Id + X_s Y_s)(Id + Y_(s-1) X_(s-1))^(-1).
+
+    These are the blocks of the cycle moment map Theta = (1 + XY)(1 + YX)^(-1).
+    """
+    n, m = point.spec.n, point.spec.m
+    eye = np.eye(n)
+    theta = np.empty((m, n, n), dtype=complex)
+    for s in range(m):
+        prev = (s - 1) % m
+        try:
+            theta[s] = (eye + point.X[s] @ point.Y[s]) @ np.linalg.inv(
+                eye + point.Y[prev] @ point.X[prev])
+        except np.linalg.LinAlgError as exc:
+            raise SingularFactor(f"Id + Y_{prev} X_{prev} is singular") from exc
+    return theta
+
+
 def moment_residual(point: RepPoint, params: ParameterSet):
     """Frobenius norms of the m+1 moment-condition residuals.
 
@@ -297,22 +315,14 @@ def moment_residual(point: RepPoint, params: ParameterSet):
     framing-vertex residual.
     """
     spec = point.spec
-    n, m = spec.n, spec.m
-    eye = np.eye(n)
+    theta = theta_blocks(point)
     residuals = []
-    for s in range(m):
-        lhs_num = eye + point.X[s] @ point.Y[s]
-        prev = (s - 1) % m
-        lhs_den = eye + point.Y[prev] @ point.X[prev]
-        try:
-            lhs = lhs_num @ np.linalg.inv(lhs_den)
-        except np.linalg.LinAlgError as exc:
-            raise SingularFactor(f"Id + Y_{prev} X_{prev} is singular") from exc
+    for s in range(spec.m):
         if s == 0:
             rhs = params.q[0] * framing_product(point, reverse=True)
         else:
-            rhs = params.q[s] * eye
-        residuals.append(float(np.linalg.norm(lhs - rhs)))
+            rhs = params.q[s] * np.eye(spec.n)
+        residuals.append(float(np.linalg.norm(theta[s] - rhs)))
     prod = 1.0 + 0.0j
     for a in range(spec.d):
         prod *= 1.0 + complex((point.V[a] @ point.W[a])[0, 0])

@@ -3,6 +3,7 @@ import pytest
 
 from spinquiver import (LocalCoordinates, ModelSpec, derive_params,
                         point_from_coordinates, random_coordinates, random_point)
+from spinquiver.words import letter_tail_head
 
 # fixed generic deformation parameters per cycle length, regular by construction
 Q_SETS = {
@@ -36,3 +37,42 @@ def tame_point(m, d, n, seed, c_scale=0.15, q=None):
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(20240817))
+
+
+# -- dense reference for cyclic.CycleMatrix: whole m n x m n cycle matrices ------
+
+def dense_cycle(deg, blocks):
+    """The m n x m n matrix with blocks[s] from vertex s to vertex s + deg."""
+    m, n = len(blocks), blocks[0].shape[0]
+    out = np.zeros((m * n, m * n), dtype=complex)
+    for s in range(m):
+        head = (s + deg) % m
+        out[s * n:(s + 1) * n, head * n:(head + 1) * n] = blocks[s]
+    return out
+
+
+def dense_cycle_blocks(deg, total, m):
+    """The m blocks from vertex s to vertex s + deg of an m n x m n matrix; inverts dense_cycle."""
+    n = total.shape[0] // m
+    return [total[s * n:(s + 1) * n, (s + deg) % m * n:((s + deg) % m + 1) * n]
+            for s in range(m)]
+
+
+def cycle_total(kind, blocks):
+    """The m n x m n cycle matrix holding block s where the letter (kind, s) sits."""
+    m, n = len(blocks), blocks[0].shape[0]
+    out = np.zeros((m * n, m * n), dtype=complex)
+    for s, mat in enumerate(blocks):
+        tail, head = letter_tail_head((kind, s), m)
+        out[tail * n:(tail + 1) * n, head * n:(head + 1) * n] = mat
+    return out
+
+
+def cycle_blocks(kind, total, m):
+    """The m blocks of a cycle matrix where the letters (kind, s) sit; inverts cycle_total."""
+    n = total.shape[0] // m
+    out = []
+    for s in range(m):
+        tail, head = letter_tail_head((kind, s), m)
+        out.append(total[tail * n:(tail + 1) * n, head * n:(head + 1) * n])
+    return out

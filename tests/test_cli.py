@@ -230,10 +230,50 @@ def test_tol_errors_exit_2(tmp_path, capsys, tol, message):
     ["reduce", "--tol", "moment=1"],
 ], ids=" ".join)
 def test_commands_reject_options_they_do_not_read(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(argv)
-    assert exc.value.code == 2
+    assert run(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_argparse_errors_return_2(capsys):
+    assert run(["gen", "--spec", "1,2"]) == 2
+    assert "--spec needs m,d,n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, reads", [
+    (["gen", "--tol", "theta=1e-30"], "moment"),
+    (["commute", "--tol", "moment=1e-30"], "bracket"),
+    (["report", "--tol", "drift=1e-30"], "moment, property"),
+], ids=" ".join)
+def test_tol_rejects_names_the_command_does_not_read(tmp_path, monkeypatch, capsys, argv, reads):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    name = argv[2].split("=")[0]
+    assert capsys.readouterr().err == (f"error: this command does not read tolerance "
+                                       f"{name!r}; it reads: {reads}\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["commute", "--spec", "2,2,3", "--seed", "3"],
+    ["commute", "--spec", "3,3,6", "--seed", "1", "--family", "1"],
+], ids=" ".join)
+def test_commute_measures_against_the_term_mass(argv):
+    # a bracket cancels from terms of the size of its term mass, which sets its roundoff
+    assert run(argv) == 0
+
+
+def test_commute_measure_fails_across_families():
+    # negative control: families 1 and 4 do not commute, and the term-mass
+    # measure that passes within each family reports it far above tolerance
+    from spinquiver import PointEngine, family_gradients
+    from spinquiver.cli import DEFAULT_TOLS
+    from conftest import make_point
+    for m, d, n, seed in [(2, 2, 3, 3), (3, 3, 6, 1)]:
+        point, spec, params = make_point(m, d, n, seed)
+        eng = PointEngine(point, params)
+        val, mass = eng.bracket_gradients(family_gradients(eng, 1, m, 0.0),
+                                          family_gradients(eng, 4, m, 0.0), with_mass=True)
+        assert abs(val) / max(1.0, mass) > 0.4 > DEFAULT_TOLS["bracket"]
 
 
 def test_oracle_overflow_emits_no_runtime_warning(tmp_path, capsys):

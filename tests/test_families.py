@@ -12,11 +12,11 @@ from spinquiver import (PointEngine, cy2_rank, family_gradients, family_poly,
                         reduced_quadruple, spect_residual, spectral_coeffs,
                         total_matrices)
 from spinquiver.errors import IllConditioned
-from spinquiver.families import (FAMILIES, _u_total, big_C_constant, big_K_constant,
-                                 cycle_blocks, cycle_total, family_word_sum, index_set)
-from spinquiver.points import quadruple_from_coordinates
+from spinquiver.families import (FAMILIES, big_C_constant, big_K_constant, family_word_sum,
+                                 index_set)
+from spinquiver.points import quadruple_from_coordinates, theta_blocks
 
-from conftest import make_point, make_setup
+from conftest import cycle_blocks, cycle_total, make_point, make_setup
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +45,15 @@ def test_total_matrices_m1():
     eye = np.eye(spec.n)
     expected = (eye + point.X[0] @ point.Y[0]) @ np.linalg.inv(eye + point.Y[0] @ point.X[0])
     assert np.linalg.norm(tm.Theta - expected) < 1e-13
+
+
+def test_total_matrices_is_the_dense_view_of_the_blocks(base):
+    point, spec, params, _ = base
+    tm = total_matrices(point)
+    assert np.array_equal(tm.Xt, cycle_total("x", point.X))
+    assert np.array_equal(tm.Yt, cycle_total("y", point.Y))
+    assert np.array_equal(tm.Zt, cycle_total("z", point.Z))
+    assert np.array_equal(tm.Theta, cycle_total("e", theta_blocks(point)))
 
 
 def test_family_value_vanishing_powers(base):
@@ -100,8 +109,19 @@ def test_family_gradients_match_fd(base):
         assert abs(fd - analytic) < 1e-5 * max(1.0, abs(fd))
 
 
-# Reference gradients: the chain rules as the families wrote them out by hand,
-# on whole cycle matrices, before the engine became their only owner.
+# Reference gradients: the chain rules written out by hand on whole m n x m n
+# cycle matrices, without the engine's chain rule or cyclic.CycleMatrix.
+
+def _ref_u_total(point, kind):
+    if kind == "x":
+        return cycle_total("x", point.X)
+    if kind == "y":
+        return cycle_total("y", point.Y)
+    if kind == "z":
+        return cycle_total("z", point.require_Z())
+    eye = np.eye(point.spec.m * point.spec.n)
+    return eye + _ref_u_total(point, "x") @ _ref_u_total(point, "y")
+
 
 def _ref_cycle_grads(m, Q_X, Q_Y):
     dx, dy = cycle_blocks("x", Q_X.T, m), cycle_blocks("y", Q_Y.T, m)
@@ -174,14 +194,14 @@ def _ref_distribute_u_grad(eng, U, Q_U):
     if U == "z":
         Xinv = cycle_total("xi", [eng.letter_block(("xi", s)) for s in range(eng.m)])
         return _ref_cycle_grads(eng.m, -(Xinv @ Q_U @ Xinv), Q_U)
-    return _ref_cycle_grads(eng.m, _u_total(eng.point, "y") @ Q_U,
-                            Q_U @ _u_total(eng.point, "x"))
+    return _ref_cycle_grads(eng.m, _ref_u_total(eng.point, "y") @ Q_U,
+                            Q_U @ _ref_u_total(eng.point, "x"))
 
 
 def _ref_qu_gradients(eng, alpha, beta, ell, U):
     m, n = eng.m, eng.n
     W, V = eng.letter_block(("w", alpha)), eng.letter_block(("v", beta))
-    Ut = _u_total(eng.point, U)
+    Ut = _ref_u_total(eng.point, U)
     K = ell * m if U in ("x", "y", "z") else ell
     UK00 = cycle_blocks("e", np.linalg.matrix_power(Ut, K), m)[0]
     WV = cycle_total("e", [W @ V] + [np.zeros((n, n))] * (m - 1))
@@ -195,16 +215,15 @@ def _ref_qu_gradients(eng, alpha, beta, ell, U):
 
 
 def _assert_same_grads(grads, ref, z_kind):
-    # z-kind gradients: the engine chains each z_s block with the cached X_s^(-1);
-    # other kinds also keep their key order, the order bracket_gradients sums in
+    # products of blocks round differently from whole-matrix products, so the
+    # blocks agree to 1e-14 of the largest reference block; the key sets agree
+    # exactly, and so does the key order (the order bracket_gradients sums in)
+    # except for z-kind gradients, whose engine chain lists y_s before x_s
     assert grads.keys() == ref.keys()
     assert z_kind or list(grads) == list(ref)
     scale = max((np.max(np.abs(D)) for D in ref.values()), default=1.0)
     for g, D in ref.items():
-        if z_kind:
-            assert np.max(np.abs(grads[g] - D)) <= 1e-14 * scale
-        else:
-            assert np.array_equal(grads[g], D)
+        assert np.max(np.abs(grads[g] - D)) <= 1e-14 * scale
 
 
 @pytest.fixture(scope="module", params=[(2, 2, 2, 3), (3, 3, 6, 1)],
@@ -224,10 +243,20 @@ def test_family_gradients_match_reference(grad_point, fam, eta):
                            _ref_family_gradients(eng, fam, j, eta), fam == 4)
 
 
+@pytest.mark.parametrize("fam", [1, 3, 4])
+def test_family_gradients_vanish_off_the_grading(grad_point, fam):
+    # m does not divide j: no block of the family matrix power meets a letter
+    point, eng = grad_point
+    j = eng.m + 1
+    ref = _ref_family_gradients(eng, fam, j, 0.37 - 0.21j)
+    assert ref == {}
+    assert family_gradients(eng, fam, j, 0.37 - 0.21j).keys() == ref.keys()
+
+
 @pytest.mark.parametrize("U", ["x", "y", "z", "t"])
 def test_u_gradients_match_reference(grad_point, U):
     point, eng = grad_point
-    Ut = _u_total(point, U)
+    Ut = _ref_u_total(point, U)
     for K in (1, eng.m, 2 * eng.m):
         _assert_same_grads(power_trace_gradients(point, U, K, engine=eng),
                            _ref_distribute_u_grad(eng, U, K * np.linalg.matrix_power(Ut, K - 1)),

@@ -8,10 +8,11 @@ from spinquiver import (FlowSpec, LocalCoordinates, ModelSpec, Trajectory, deriv
                         ode_oracle, phi1, point_from_coordinates, random_coordinates,
                         random_point)
 from spinquiver import flows
+from spinquiver.cyclic import CycleMatrix
 from spinquiver.errors import SingularFactor
 from spinquiver.flows import closed_form_flow, conservation_report, expm
 
-from conftest import tame_point
+from conftest import dense_cycle, tame_point
 
 TAME_Q = {2: [1.1 + 0.1j, 0.8 - 0.2j]}
 
@@ -153,11 +154,45 @@ def test_oracle_trajectory_sampling(tame):
     assert abs(traj.times[-1] - 0.5) < 1e-12
 
 
-# -- the oracle's vector fields against the version that always built Theta ----
+# -- the oracle's vector fields against two references -------------------------
 #
-# The reference fields below evaluate Theta, 1 + eta Theta and the eta-weighted
-# term of dX at every eta.  The fields in flows skip them at eta = 0 and keep
-# every other product in the same association, so results agree bit for bit.
+# The fields act on CycleMatrix states: X of degree +1, Z and Y of degree -1,
+# U = 1 + XY of degree 0.  The graded references evaluate Theta, 1 + eta Theta
+# and the eta-weighted term of dX at every eta; the fields in flows skip them
+# at eta = 0 and keep every other product in the same association, so results
+# agree bit for bit.  The dense references are the same formulas on whole
+# m n x m n matrices; products of blocks round differently from whole-matrix
+# products, so these agree to 1e-14 of the largest reference block, times the
+# condition number of the matrix the field inverts (the eta-terms pass through
+# its inverse).
+
+def _graded_vf_Z(X, Z, k, eta):
+    Theta = X @ Z @ (Z @ X).inv()
+    U = Z @ (1 + eta * Theta)
+    Ukm1 = U.power(k - 1)
+    dX = -eta * (Theta @ Ukm1 @ Z @ X) - X @ Ukm1 @ Z
+    dZ = -(Z @ Ukm1 @ Z) + Ukm1 @ Z @ Z
+    return dX, dZ
+
+
+def _graded_vf_Y(X, Y, k, eta):
+    W = 1 + Y @ X
+    Theta = (1 + X @ Y) @ W.inv()
+    U = Y @ (1 + eta * Theta)
+    Ukm1 = U.power(k - 1)
+    dX = -Ukm1 - X @ Ukm1 @ Y - eta * (Theta @ Ukm1 @ W)
+    dY = -(Y @ Ukm1 @ Y) + Ukm1 @ Y @ Y
+    return dX, dY
+
+
+def _graded_vf_T(X, U, k, eta):
+    Theta_inv = X.inv() @ U @ X @ U.inv()
+    U_eta = U @ (1 + eta * Theta_inv)
+    Ukm1 = U_eta.power(k - 1)
+    dX = -(Ukm1 @ U @ X) - eta * (X @ Theta_inv @ Ukm1 @ U)
+    dU = -(Ukm1 @ U @ U) + U @ Ukm1 @ U
+    return dX, dU
+
 
 def _ref_theta_from_XZ(Xt, Zt):
     XZ = Xt @ Zt
@@ -199,30 +234,70 @@ def _ref_vf_T(Xt, Ut, k, eta):
     return dX, dU
 
 
-FIELDS = [(flows._vf_Z, _ref_vf_Z), (flows._vf_Y, _ref_vf_Y), (flows._vf_T, _ref_vf_T)]
+# (field, graded reference, dense reference, degree of the second state,
+#  the dense matrices whose inverses the field takes)
+FIELDS = [
+    (flows._vf_Z, _graded_vf_Z, _ref_vf_Z, -1, lambda X, M: [M @ X]),
+    (flows._vf_Y, _graded_vf_Y, _ref_vf_Y, -1, lambda X, M: [np.eye(len(X)) + M @ X]),
+    (flows._vf_T, _graded_vf_T, _ref_vf_T, 0, lambda X, M: [X, M]),
+]
 ETAS = [0.0, 0.3 - 0.2j, 1.5j, -0.7]
+SHAPES = {3: (1, 3), 6: (2, 3), 12: (4, 3), 18: (3, 6)}    # N = m n: (m, n)
 
 
-def _complex(rng, N):
-    return rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+def _graded(rng, m, n, deg):
+    """A well-conditioned CycleMatrix: identity blocks plus complex noise."""
+    noise = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    return CycleMatrix(deg, np.eye(n) + 0.4 / np.sqrt(n) * noise)
 
 
-@pytest.mark.parametrize("N", [3, 6, 12, 18])
+def _powers(field, m):
+    """The powers k the oracle runs a field at: trZ and trY flows need m | k."""
+    return (1, 2, 3, 4) if field is flows._vf_T else (m, 2 * m)
+
+
+def _dense(a):
+    return dense_cycle(a.deg, a.blocks)
+
+
+def _assert_matches_dense(got, X, M, k, eta, dense_field, inverted):
+    with np.errstate(all="ignore"):
+        want = dense_field(_dense(X), _dense(M), k, eta)
+        scale = max(np.max(np.abs(w)) for w in want)
+        scale *= max(np.linalg.cond(a) for a in inverted(_dense(X), _dense(M)))
+    for g, w in zip(got, want):
+        assert np.max(np.abs(_dense(g) - w)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("N", sorted(SHAPES))
 def test_vector_fields_match_reference_bit_for_bit(rng, N):
-    for k in range(1, 5):
-        for eta in ETAS:
-            X, M = _complex(rng, N), _complex(rng, N)
-            for field, ref in FIELDS:
-                got, want = field(X, M, k, eta), ref(X, M, k, eta)
-                assert all(np.array_equal(g, w) for g, w in zip(got, want)), \
-                    (field.__name__, k, eta)
+    m, n = SHAPES[N]
+    for field, graded, _dense_field, deg, _inverted in FIELDS:
+        for k in _powers(field, m):
+            for eta in ETAS:
+                X, M = _graded(rng, m, n, 1), _graded(rng, m, n, deg)
+                got, want = field(X, M, k, eta), graded(X, M, k, eta)
+                assert all(g.deg == w.deg and np.array_equal(g.blocks, w.blocks)
+                           for g, w in zip(got, want)), (field.__name__, k, eta)
+
+
+@pytest.mark.parametrize("N", sorted(SHAPES))
+def test_vector_fields_match_dense_reference(rng, N):
+    m, n = SHAPES[N]
+    for field, _graded_field, dense_field, deg, inverted in FIELDS:
+        for k in _powers(field, m):
+            for eta in ETAS:
+                X, M = _graded(rng, m, n, 1), _graded(rng, m, n, deg)
+                _assert_matches_dense(field(X, M, k, eta), X, M, k, eta, dense_field, inverted)
 
 
 def test_vector_fields_take_the_domain_inverse_at_every_eta(rng):
-    X, M = _complex(rng, 4), _complex(rng, 4)
-    singular, eye = np.zeros((4, 4), dtype=complex), np.eye(4, dtype=complex)
-    cases = [(flows._vf_Z, singular, M), (flows._vf_Y, eye, -eye),
-             (flows._vf_T, singular, M), (flows._vf_T, X, singular)]
+    m, n = 2, 4
+    X, M, U = _graded(rng, m, n, 1), _graded(rng, m, n, -1), _graded(rng, m, n, 0)
+    zero = lambda deg: CycleMatrix(deg, np.zeros((m, n, n), dtype=complex))
+    eye = lambda deg: CycleMatrix(deg, np.broadcast_to(np.eye(n), (m, n, n)))
+    cases = [(flows._vf_Z, zero(1), M), (flows._vf_Y, eye(1), -eye(-1)),
+             (flows._vf_T, zero(1), U), (flows._vf_T, X, zero(0))]
     for field, A, B in cases:
         for eta in ETAS:
             with pytest.raises(np.linalg.LinAlgError):
@@ -247,6 +322,18 @@ def _run_oracle(point, fs, params):
     return traj.times, blocks, message
 
 
+def _checked(field, dense_field, inverted):
+    """The field, asserting that it matches the dense one wherever that one is defined."""
+    def checked(X, M, k, eta):
+        got = field(X, M, k, eta)
+        try:
+            _assert_matches_dense(got, X, M, k, eta, dense_field, inverted)
+        except np.linalg.LinAlgError:
+            pass    # the whole-matrix inverse rejected a state whose blocks it accepted
+        return got
+    return checked
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("seed", [3, 9])
 def test_oracle_matches_reference_fields(monkeypatch, seed):
@@ -255,42 +342,45 @@ def test_oracle_matches_reference_fields(monkeypatch, seed):
     for ham in ("trZ", "trY", "trT"):
         for eta in (0.0, 0.3 - 0.2j):
             fs = FlowSpec(ham, 1 if ham == "trT" else 2, 1.0, eta, 100)
-            times, blocks, message = _run_oracle(point, fs, params)
             with monkeypatch.context() as patch:
-                for name, ref in (("_vf_Z", _ref_vf_Z), ("_vf_Y", _ref_vf_Y),
-                                  ("_vf_T", _ref_vf_T)):
-                    patch.setattr(flows, name, ref)
+                for field, _graded_field, dense_field, _deg, inverted in FIELDS:
+                    patch.setattr(flows, field.__name__, _checked(field, dense_field, inverted))
+                times, blocks, message = _run_oracle(point, fs, params)
+            with monkeypatch.context() as patch:
+                for field, graded, *_ in FIELDS:
+                    patch.setattr(flows, field.__name__, graded)
                 ref_times, ref_blocks, ref_message = _run_oracle(point, fs, params)
             assert message == ref_message
             assert times == ref_times
             assert len(blocks) == len(ref_blocks)
-            # equal_nan: at seed 9 the trZ flow at eta != 0 runs to non-finite values
             for got, want in zip(blocks, ref_blocks):
                 assert len(got) == len(want)
-                assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
             messages[ham, eta] = message
     if seed == 3:   # both eta = 0 flows leave the domain, so the failure path is compared
-        assert messages["trZ", 0.0] == "oracle singular at step 12"
-        assert messages["trY", 0.0] == "oracle singular at step 12"
+        assert messages["trZ", 0.0] == "oracle singular at step 11"
+        assert messages["trY", 0.0] == "oracle singular at step 11"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_oracle_rebuild_failure_is_singular_factor():
-    point, params = _recipe_point(87)
+    # the trZ state's X_1 block turns numerically singular (smallest singular
+    # value 8e-18 of 0.58) between samples, and inv rejects it at step 30
+    point, params = _recipe_point(191)
     with pytest.raises(SingularFactor) as info:
         ode_oracle(point, FlowSpec("trZ", 2, 1.0, 0.0, 100), params)
     message, partial = info.value.args
-    assert message == "oracle state has a singular X block at step 80"
+    assert message == "oracle state has a singular X block at step 30"
     assert isinstance(partial, Trajectory)
-    assert partial.times[-1] == pytest.approx(0.7)
-    assert len(partial.points) == 8
+    assert partial.times[-1] == pytest.approx(0.2)
+    assert len(partial.points) == 3
     assert isinstance(info.value.__cause__, SingularFactor)
 
 
 def test_flow_Z_singular_endpoint_is_singular_factor():
-    # a tame (3,3,6) point, drawn as `bench/workloads.py` draws input 22006,
-    # whose closed-form X(1) reaches 1e106 and has a block that inv rejects
-    spec, s = ModelSpec(3, 3, 6), 22006
+    # a tame (3,3,6) point, drawn as `bench/workloads.py` draws input 33005,
+    # whose closed-form X(1) = X(0) exp(-Z^3) has a block that inv rejects
+    spec, s = ModelSpec(3, 3, 6), 33005
     gen = np.random.Generator(np.random.Philox(s + 77))
     q = np.exp(0.35 * (gen.standard_normal(3) + 1j * gen.standard_normal(3)))
     params = derive_params(q, 6)
