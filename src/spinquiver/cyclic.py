@@ -84,14 +84,14 @@ class CycleMatrix:
     def __matmul__(self, other: "CycleMatrix") -> "CycleMatrix":
         right = other.blocks
         if self.deg:
-            right = np.take(right, _shifted(self.m, self.deg), axis=0)
+            right = right.take(_shifted(self.m, self.deg), axis=0)
         return CycleMatrix(self.deg + other.deg, self.blocks @ right)
 
     def inv(self) -> "CycleMatrix":
         """The inverse, of degree -deg: its block at s + deg inverts block s."""
         inverse = np.linalg.inv(self.blocks)
         if self.deg:
-            inverse = np.take(inverse, _shifted(self.m, -self.deg), axis=0)
+            inverse = inverse.take(_shifted(self.m, -self.deg), axis=0)
         return CycleMatrix(-self.deg, inverse)
 
     def power(self, k: int) -> "CycleMatrix":

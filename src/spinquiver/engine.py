@@ -28,6 +28,12 @@ Its terms are multiplied without checking vertices: a term {{a, b}} has its
 left word on (tail b, head a) and its right word on (tail a, head b), which
 the tests check over the whole table.  The two routes agree (tested); the
 gradient route is what makes large Hamiltonian families affordable.
+
+The gradient route contracts from a plan cached per pair of gradient key
+sequences: the pair terms of every key pair, grouped by the shapes of their
+(L, R) blocks, with each group's L^T and R^T stacked.  A call gathers the
+gradient blocks by term and evaluates each group in one batched pass; the
+term mass is still the sum of the terms' absolute values.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ class PointEngine:
         self.N = self.spec.total_dim
         self._letter_cache: dict = {}
         self._pair_cache: dict = {}
+        self._plan_cache: dict = {}
 
     # -- blocks ---------------------------------------------------------
 
@@ -293,6 +300,33 @@ class PointEngine:
         return self.letter_gradients((l, cw * rest) for cw, word in _as_wordsum(ws)
                                      for l, rest in zip(word, self._rests(word) or ()))
 
+    def _bracket_plan(self, keysF: tuple, keysG: tuple) -> tuple:
+        """The pair terms of two gradient key sequences, grouped by (L, R) block shape; cached.
+
+        Per group: the coefficients, the distinct F keys and G keys the group
+        reads (as positions in keysF and keysG), each term's index into those,
+        and the stacked L^T and R^T.  A group's shapes fix those of D_F[a]
+        (R rows by L columns) and D_G[b] (L rows by R columns), so each side's
+        blocks stack.  No gradient value is kept.
+        """
+        key = (keysF, keysG)
+        plan = self._plan_cache.get(key)
+        if plan is None:
+            groups: dict = {}
+            for i, a in enumerate(keysF):
+                for j, b in enumerate(keysG):
+                    for c, L, R in self._pair_terms(a, b):
+                        groups.setdefault((L.shape, R.shape), []).append((c, i, j, L.T, R.T))
+            plan = []
+            for terms in groups.values():
+                cs, ia, ib, Lt, Rt = zip(*terms)
+                fa, fb = tuple(dict.fromkeys(ia)), tuple(dict.fromkeys(ib))
+                plan.append((np.array(cs), fa, np.array([fa.index(i) for i in ia]),
+                             fb, np.array([fb.index(j) for j in ib]),
+                             np.array(Lt), np.array(Rt)))
+            plan = self._plan_cache[key] = tuple(plan)
+        return plan
+
     def bracket_gradients(self, gradF: dict, gradG: dict,
                           with_mass: bool = False):
         """Contract two gradient dictionaries against the generator table.
@@ -300,21 +334,26 @@ class PointEngine:
         {F, G} = sum over generator pairs and tensor terms of
         coeff * tr(D_F[a] . L^T . D_G[b] . R^T).
 
+        The terms come from _bracket_plan, built once per pair of key
+        sequences: per (L, R) shape group the gradient blocks are gathered by
+        term and every term of the group is evaluated in one batched pass,
+        tr((D_F[a] L^T)(D_G[b] R^T)).
+
         With with_mass=True also returns the pre-cancellation term mass
-        (sum of absolute term values), the natural scale for involutivity
-        residuals.
+        (sum of absolute term values, taken term by term), the natural scale
+        for involutivity residuals.
         """
-        total = 0.0 + 0.0j
-        mass = 0.0
-        for a, Da in gradF.items():
-            for b, Db in gradG.items():
-                for c, L, R in self._pair_terms(a, b):
-                    term = c * np.trace(Da @ L.T @ Db @ R.T)
-                    total += term
-                    mass += abs(term)
+        F, G = list(gradF.values()), list(gradG.values())
+        parts = [np.zeros(0, dtype=complex)]
+        for c, fa, ia, fb, ib, Lt, Rt in self._bracket_plan(tuple(gradF), tuple(gradG)):
+            Da = np.array([F[i] for i in fa]).take(ia, axis=0)
+            Db = np.array([G[j] for j in fb]).take(ib, axis=0)
+            parts.append(c * np.einsum("tij,tji->t", Da @ Lt, Db @ Rt))
+        terms = np.concatenate(parts)
+        total = complex(terms.sum())
         if with_mass:
-            return complex(total), float(mass)
-        return complex(total)
+            return total, float(np.abs(terms).sum())
+        return total
 
     def trace_bracket_grad(self, ws1, ws2) -> complex:
         """{tr ws1, tr ws2} via the gradient route."""

@@ -130,7 +130,8 @@ def _cycle_grads(eng: PointEngine, qs: dict) -> dict:
     a Q of another degree has no block there and contributes nothing.
     """
     pairs = []
-    # vertex by vertex: bracket_gradients sums its terms in key order x_0, y_0, x_1, ...
+    # vertex by vertex, so gradients with equal key sets list them in one order
+    # x_0, y_0, x_1, ... and share the contraction plan bracket_gradients caches per key order
     for s in range(eng.m):
         for kind, Q in qs.items():
             tail, head = letter_tail_head((kind, s), eng.m)

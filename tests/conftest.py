@@ -76,3 +76,17 @@ def cycle_blocks(kind, total, m):
         tail, head = letter_tail_head((kind, s), m)
         out.append(total[tail * n:(tail + 1) * n, head * n:(head + 1) * n])
     return out
+
+
+# -- reference for PointEngine.bracket_gradients: the per-term loop -------------
+
+def bracket_gradients_loop(eng, gradF, gradG):
+    """(value, mass) of the gradient contraction, one term at a time in key order."""
+    total, mass = 0j, 0.0
+    for a, Da in gradF.items():
+        for b, Db in gradG.items():
+            for c, L, R in eng._pair_terms(a, b):
+                term = c * np.trace(Da @ L.T @ Db @ R.T)
+                total += term
+                mass += abs(term)
+    return complex(total), float(mass)

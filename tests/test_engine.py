@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from spinquiver import PointEngine, cycle_power_sum, spin_trace_word
+from spinquiver import (PointEngine, cycle_power_sum, family_gradients,
+                        power_trace_gradients, qu_gradients, spin_trace_word)
 from spinquiver.brackets import (double_bracket, generator_bracket, ordering_sign,
                                  phi_localized_terms, phi_word_terms,
                                  trace_bracket_symbolic)
@@ -11,7 +12,7 @@ from spinquiver.errors import UnknownPair
 from spinquiver.words import (WordSum, cprime_word_terms, is_closed, letter_tail_head,
                               u_power_word, word_tail_head, x_power_word)
 
-from conftest import make_point
+from conftest import bracket_gradients_loop, make_point
 
 
 def all_letters(m, d, alphabet="y"):
@@ -240,6 +241,97 @@ def test_gradient_route_matches_word_route():
         a = eng.trace_bracket_value(w1, w2)
         b = eng.trace_bracket_grad(w1, w2)
         assert abs(a - b) < 1e-9 * max(1.0, abs(a))
+
+
+# -- batched gradient contraction against the per-term loop --------------------
+
+def assert_matches_loop(eng, gF, gG):
+    """bracket_gradients agrees with the per-term loop to 1e-15 of the term mass."""
+    val, mass = eng.bracket_gradients(gF, gG, with_mass=True)
+    ref_val, ref_mass = bracket_gradients_loop(eng, gF, gG)
+    assert isinstance(val, complex) and isinstance(mass, float)
+    assert eng.bracket_gradients(gF, gG) == val
+    assert abs(val - ref_val) <= 1e-15 * ref_mass
+    assert abs(mass - ref_mass) <= 1e-15 * ref_mass
+    return ref_mass
+
+
+@pytest.mark.parametrize("m,d,n,seed", [(2, 2, 2, 3), (3, 3, 6, 1)])
+def test_bracket_gradients_matches_loop_on_families(m, d, n, seed):
+    point, spec, params = make_point(m, d, n, seed)
+    eng = PointEngine(point, params)
+    grads = [family_gradients(eng, fam, j, eta) for fam in (1, 2, 3, 4)
+             for j in ((1, 2) if fam == 2 else (m, 2 * m)) for eta in (0.0, 0.37 - 0.21j)]
+    masses = [assert_matches_loop(eng, g1, g2)
+              for i, g1 in enumerate(grads) for g2 in grads[i:]]
+    assert min(masses) > 0.0
+
+
+@pytest.mark.parametrize("m,d,n,seed", [(1, 2, 2, 5), (2, 3, 3, 2), (3, 2, 2, 7), (4, 3, 2, 4)])
+def test_bracket_gradients_matches_loop_on_mixed_shapes(m, d, n, seed):
+    point, spec, params = make_point(m, d, n, seed)
+    eng = PointEngine(point, params)
+    grads = [eng.grad_trace_wordsum(spin_trace_word(1, d, m + 1, m)),
+             eng.grad_trace_wordsum(spin_trace_word(d, 1, 2 * m + 1, m)),
+             qu_gradients(point, 1, d, 1, "z", engine=eng),
+             qu_gradients(point, d, 1, 0, "y", engine=eng),
+             power_trace_gradients(point, "t", 2, engine=eng),
+             power_trace_gradients(point, "x", m, engine=eng)]
+    # the spin words and qu generators carry 1 x n and n x 1 framing blocks
+    assert {D.shape for g in grads for D in g.values()} > {(n, n)}
+    for i, g1 in enumerate(grads):
+        for g2 in grads[i:]:
+            assert_matches_loop(eng, g1, g2)
+            assert_matches_loop(eng, g2, g1)
+
+
+def test_bracket_gradients_empty_side():
+    point, spec, params = make_point(2, 2, 2, seed=3)
+    eng = PointEngine(point, params)
+    g = family_gradients(eng, 4, 2, 0.37 - 0.21j)
+    for gF, gG in (({}, g), (g, {}), ({}, {})):
+        val, mass = eng.bracket_gradients(gF, gG, with_mass=True)
+        assert (val, mass) == (0j, 0.0)
+        assert isinstance(val, complex) and isinstance(mass, float)
+        assert eng.bracket_gradients(gF, gG) == 0j
+
+
+@pytest.mark.parametrize("m,d,n,seed", [(2, 2, 2, 3), (3, 3, 6, 1)])
+def test_bracket_gradients_plan_keeps_no_values(m, d, n, seed):
+    # a second call on the same key sets reuses the plan and reads the new blocks
+    point, spec, params = make_point(m, d, n, seed)
+    eng = PointEngine(point, params)
+    g1 = family_gradients(eng, 4, m, 0.37 - 0.21j)
+    g2 = family_gradients(eng, 3, 2 * m, 0.37 - 0.21j)
+    assert_matches_loop(eng, g1, g2)
+    plans = len(eng._plan_cache)
+    others = [({k: 2 * D for k, D in g1.items()}, g2),
+              (g1, {k: 2 * D for k, D in g2.items()}),
+              (family_gradients(eng, 1, m, 0.37 - 0.21j), family_gradients(eng, 2, 1, 0.0))]
+    for gF, gG in others:
+        assert (tuple(gF), tuple(gG)) == (tuple(g1), tuple(g2))
+        assert_matches_loop(eng, gF, gG)
+    assert len(eng._plan_cache) == plans
+
+
+@pytest.mark.parametrize("m,d,n,seed", [(2, 2, 2, 3), (3, 2, 2, 7)])
+def test_bracket_gradients_key_order(m, d, n, seed, rng):
+    point, spec, params = make_point(m, d, n, seed)
+    eng = PointEngine(point, params)
+    g1 = qu_gradients(point, 1, d, 1, "z", engine=eng)
+    g2 = family_gradients(eng, 4, m, 0.37 - 0.21j)
+    val, mass = eng.bracket_gradients(g1, g2, with_mass=True)
+
+    def permuted(g):
+        keys = list(g)
+        return {keys[i]: g[keys[i]] for i in rng.permutation(len(keys))}
+
+    for _ in range(3):
+        p1, p2 = permuted(g1), permuted(g2)
+        assert_matches_loop(eng, p1, p2)
+        pval, pmass = eng.bracket_gradients(p1, p2, with_mass=True)
+        assert abs(pval - val) <= 1e-15 * mass
+        assert abs(pmass - mass) <= 1e-15 * mass
 
 
 def test_leibniz_on_matrices():

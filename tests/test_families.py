@@ -217,8 +217,9 @@ def _ref_qu_gradients(eng, alpha, beta, ell, U):
 def _assert_same_grads(grads, ref, z_kind):
     # products of blocks round differently from whole-matrix products, so the
     # blocks agree to 1e-14 of the largest reference block; the key sets agree
-    # exactly, and so does the key order (the order bracket_gradients sums in)
-    # except for z-kind gradients, whose engine chain lists y_s before x_s
+    # exactly, and so does the key order (bracket_gradients caches its contraction
+    # plan per key order, so equal orders share one plan) except for z-kind
+    # gradients, whose engine chain lists y_s before x_s
     assert grads.keys() == ref.keys()
     assert z_kind or list(grads) == list(ref)
     scale = max((np.max(np.abs(D)) for D in ref.values()), default=1.0)
