@@ -16,9 +16,11 @@ public eval_* methods and loday_matrix.
 
 Bracket values between trace functions are computed two ways:
 
-* the word route: Leibniz expansion of the double bracket over letter pairs,
-  each tensor term contributing tr(prefix2 . L . rest1 . R . suffix2), where
-  rest1 is what remains of the closed word 1 around its bracketed letter;
+* the word route: Leibniz expansion of the double bracket over letter pairs.
+  By cyclicity each tensor term is tr(L . rest1 . R . rest2), where rest1
+  and rest2 are what remain of the two closed words around their bracketed
+  letters, so the route sums the rests per letter over every occurrence and
+  contracts those letter-level blocks against the letters' own pair table;
 * the gradient route: matrix gradients of the two functions with respect to
   the base generators contracted against the generator-pair table, which is
   the induced antisymmetric biderivation on the representation space.
@@ -26,14 +28,14 @@ Bracket values between trace functions are computed two ways:
 Both routes read one cached block evaluation of the generator-pair table.
 Its terms are multiplied without checking vertices: a term {{a, b}} has its
 left word on (tail b, head a) and its right word on (tail a, head b), which
-the tests check over the whole table.  The two routes agree (tested); the
-gradient route is what makes large Hamiltonian families affordable.
+the tests check over the whole table.  The two routes agree (tested).
 
-The gradient route contracts from a plan cached per pair of gradient key
-sequences: the pair terms of every key pair, grouped by the shapes of their
-(L, R) blocks, with each group's L^T and R^T stacked.  A call gathers the
-gradient blocks by term and evaluates each group in one batched pass; the
-term mass is still the sum of the terms' absolute values.
+Both routes contract from a plan cached per pair of key sequences: the pair
+terms of every key pair, grouped by the shapes of their (L, R) blocks, with
+each group's L^T and R^T stacked.  A call gathers the blocks by term and
+evaluates each group in one batched pass; the term mass is still the sum of
+the terms' absolute values.  loday_matrix keeps its own term-by-term
+Leibniz loop, as an independent check of the word route.
 """
 
 from __future__ import annotations
@@ -207,26 +209,23 @@ class PointEngine:
 
     # -- bracket values: word route ---------------------------------------
 
-    def _trace_bracket_words(self, w1, w2) -> complex:
-        rests1, parts2 = self._rests(w1), self._partials(w2)
-        if rests1 is None or parts2 is None or parts2[0][0] != parts2[0][1]:
-            return 0j
-        _, pre2, suf2 = parts2
-        total = 0.0 + 0.0j
-        for a, rest1 in zip(w1, rests1):
-            for j, b in enumerate(w2):
-                for c, L, R in self._pair_terms(a, b):
-                    total += c * np.trace((pre2[j] @ L @ rest1) @ (R @ suf2[j + 1]))
-        return complex(total)
+    def _letter_rests(self, ws) -> dict:
+        """{letter: sum of coeff * rest} over its occurrences in the closed words of ws."""
+        out: dict = {}
+        for cw, word in _as_wordsum(ws):
+            for letter, rest in zip(word, self._rests(word) or ()):
+                out[letter] = out.get(letter, 0.0) + cw * rest
+        return out
 
     def trace_bracket_value(self, w1, w2) -> complex:
-        """{tr w1, tr w2} for closed words or word sums."""
-        ws1, ws2 = _as_wordsum(w1), _as_wordsum(w2)
-        total = 0.0 + 0.0j
-        for c1, a in ws1:
-            for c2, b in ws2:
-                total += c1 * c2 * self._trace_bracket_words(a, b)
-        return complex(total)
+        """{tr w1, tr w2} for closed words or word sums.
+
+        bracket_gradients contracts the transposed letter-level rests against
+        the letters' own pair table, with no chain rule.
+        """
+        return self.bracket_gradients(
+            {l: Q.T for l, Q in self._letter_rests(w1).items()},
+            {l: Q.T for l, Q in self._letter_rests(w2).items()})
 
     def loday_matrix(self, w1, w2) -> np.ndarray:
         """Total matrix of the Loday bracket {w1, w2} for word sums."""
@@ -296,12 +295,14 @@ class PointEngine:
         return {g: Q.T for g, Q in accQ.items() if np.any(Q)}
 
     def grad_trace_wordsum(self, ws) -> dict:
-        """Gradient blocks D[g][i, j] = d tr(ws) / d g_ij over the base generators."""
-        return self.letter_gradients((l, cw * rest) for cw, word in _as_wordsum(ws)
-                                     for l, rest in zip(word, self._rests(word) or ()))
+        """Gradient blocks D[g][i, j] = d tr(ws) / d g_ij over the base generators.
+
+        The word route's letter-level rests, through the chain rule.
+        """
+        return self.letter_gradients(self._letter_rests(ws).items())
 
     def _bracket_plan(self, keysF: tuple, keysG: tuple) -> tuple:
-        """The pair terms of two gradient key sequences, grouped by (L, R) block shape; cached.
+        """The pair terms of two key sequences, grouped by (L, R) block shape; cached.
 
         Per group: the coefficients, the distinct F keys and G keys the group
         reads (as positions in keysF and keysG), each term's index into those,
@@ -329,10 +330,11 @@ class PointEngine:
 
     def bracket_gradients(self, gradF: dict, gradG: dict,
                           with_mass: bool = False):
-        """Contract two gradient dictionaries against the generator table.
+        """Contract two gradient dictionaries against the pair table of their keys.
 
-        {F, G} = sum over generator pairs and tensor terms of
-        coeff * tr(D_F[a] . L^T . D_G[b] . R^T).
+        {F, G} = sum over key pairs and tensor terms of
+        coeff * tr(D_F[a] . L^T . D_G[b] . R^T).  The keys are base
+        generators, or any letters for the word route.
 
         The terms come from _bracket_plan, built once per pair of key
         sequences: per (L, R) shape group the gradient blocks are gathered by

@@ -16,10 +16,11 @@ forms and to drive conservation checks, not as a production integrator.
 
 Each vector field evaluates its eta-terms (Theta or Theta^(-1), the shift
 1 + eta Theta and the eta-weighted part of dX) only when eta != 0.  The
-inverse that defines Theta (of ZX, of 1 + YX, or of X and U) is taken at
-every eta all the same, because it is the oracle's domain test: at eta = 0
+matrix whose inverse defines Theta (ZX, 1 + YX, or X and U) is tested at
+every eta all the same, because that is the oracle's domain test: at eta = 0
 too, a trajectory that leaves the locus where Theta is defined stops there
-with SingularFactor instead of running on.
+with SingularFactor instead of running on.  At eta = 0 the inverse itself is
+unused, so the test is an LU factorization alone (_require_invertible).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .cyclic import CycleMatrix
 from .errors import SingularFactor
@@ -46,6 +46,7 @@ def expm(A: np.ndarray) -> np.ndarray:
             return (vecs * np.exp(vals)) @ np.linalg.inv(vecs)
     except np.linalg.LinAlgError:
         pass
+    import scipy.linalg         # only this fallback needs scipy, so import it here
     return scipy.linalg.expm(A)
 
 
@@ -143,13 +144,27 @@ def _point_with_XT(point: RepPoint, Xb, Tb) -> RepPoint:
 # The fields act on CycleMatrix states: X of degree +1, Z and Y of degree -1,
 # U = 1 + XY of degree 0.
 
+def _require_invertible(M: CycleMatrix) -> None:
+    """Raise LinAlgError exactly where M.inv() would: some block has an exact zero pivot.
+
+    slogdet runs the same LU factorization as inv and reports sign 0 for an
+    exact zero pivot; a non-finite block gives sign nan, which passes here
+    as it does in inv.  Floating-point flags are ignored, as inv ignores them.
+    """
+    with np.errstate(all="ignore"):
+        sign = np.linalg.slogdet(M.blocks)[0]
+    if not sign.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+
+
 def _vf_Z(X, Z, k, eta):
-    ZX_inv = (Z @ X).inv()                  # Theta = XZ (ZX)^(-1) needs ZX invertible
+    ZX = Z @ X                              # Theta = XZ (ZX)^(-1) needs ZX invertible
     if eta == 0:
+        _require_invertible(ZX)
         Ukm1 = Z.power(k - 1)
         dX = -(X @ Ukm1 @ Z)
     else:
-        Theta = X @ Z @ ZX_inv
+        Theta = X @ Z @ ZX.inv()
         U = Z @ (1 + eta * Theta)
         Ukm1 = U.power(k - 1)
         dX = -eta * (Theta @ Ukm1 @ Z @ X) - X @ Ukm1 @ Z
@@ -158,13 +173,13 @@ def _vf_Z(X, Z, k, eta):
 
 
 def _vf_Y(X, Y, k, eta):
-    W = 1 + Y @ X
-    W_inv = W.inv()                         # Theta = (1 + XY)(1 + YX)^(-1)
+    W = 1 + Y @ X                           # Theta = (1 + XY)(1 + YX)^(-1)
     if eta == 0:
+        _require_invertible(W)
         Ukm1 = Y.power(k - 1)
         dX = -Ukm1 - X @ Ukm1 @ Y
     else:
-        Theta = (1 + X @ Y) @ W_inv
+        Theta = (1 + X @ Y) @ W.inv()
         U = Y @ (1 + eta * Theta)
         Ukm1 = U.power(k - 1)
         dX = -Ukm1 - X @ Ukm1 @ Y - eta * (Theta @ Ukm1 @ W)
@@ -173,13 +188,14 @@ def _vf_Y(X, Y, k, eta):
 
 
 def _vf_T(X, U, k, eta):
-    Xinv = X.inv()                          # Theta^(-1) = X^(-1) U X U^(-1)
-    Uinv = U.inv()
+    # Theta^(-1) = X^(-1) U X U^(-1) needs X and U invertible
     if eta == 0:
+        _require_invertible(X)
+        _require_invertible(U)
         Ukm1 = U.power(k - 1)
         dX = -(Ukm1 @ U @ X)
     else:
-        Theta_inv = Xinv @ U @ X @ Uinv
+        Theta_inv = X.inv() @ U @ X @ U.inv()
         U_eta = U @ (1 + eta * Theta_inv)
         Ukm1 = U_eta.power(k - 1)
         dX = -(Ukm1 @ U @ X) - eta * (X @ Theta_inv @ Ukm1 @ U)
@@ -211,9 +227,10 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
     trajectory attached (args[1]) if an inverse fails mid-run, in a vector
     field or while a sampled state is rebuilt into a point, or if a vector
     field overflows or produces an invalid value.  The eta-terms
-    are evaluated only when flow.eta != 0; the inverse that defines Theta is
-    taken at every eta, so that an eta = 0 run stops where Theta stops being
-    defined, as it would if the eta-terms were evaluated and multiplied by 0.
+    are evaluated only when flow.eta != 0; the matrix whose inverse defines
+    Theta is tested at every eta, so that an eta = 0 run stops where Theta
+    stops being defined, as it would if the eta-terms were evaluated and
+    multiplied by 0.
     """
     spec = point.spec
     if flow.hamiltonian in ("trZ", "trY") and flow.k % spec.m:

@@ -3,6 +3,7 @@ import pytest
 
 from spinquiver import (LocalCoordinates, ModelSpec, derive_params,
                         point_from_coordinates, random_coordinates, random_point)
+from spinquiver.engine import _as_wordsum
 from spinquiver.words import letter_tail_head
 
 # fixed generic deformation parameters per cycle length, regular by construction
@@ -90,3 +91,31 @@ def bracket_gradients_loop(eng, gradF, gradG):
                 total += term
                 mass += abs(term)
     return complex(total), float(mass)
+
+
+# -- reference for PointEngine.trace_bracket_value: the per-term word loop ------
+
+def trace_bracket_words_loop(eng, w1, w2):
+    """(value, mass) of {tr w1, tr w2}, one Leibniz term at a time.
+
+    For each pair of closed words and each pair of their letters (a at i in
+    word 1, b at j in word 2), every table term c L (x) R of {{a, b}} adds
+    c tr(prefix2_j . L . rest1_i . R . suffix2_j), rest1_i being word 1 read
+    from after i round to before i.
+    """
+    total, mass = 0j, 0.0
+    for c1, a in _as_wordsum(w1):
+        rests1 = eng._rests(a)
+        for c2, b in _as_wordsum(w2):
+            parts2 = eng._partials(b)
+            if rests1 is None or parts2 is None or parts2[0][0] != parts2[0][1]:
+                continue
+            _, pre2, suf2 = parts2
+            for ai, rest1 in zip(a, rests1):
+                for j, bj in enumerate(b):
+                    for c, L, R in eng._pair_terms(ai, bj):
+                        term = c1 * c2 * c * np.trace(pre2[j] @ L @ rest1 @ R @ suf2[j + 1])
+                        total += term
+                        mass += abs(term)
+    return complex(total), float(mass)
+

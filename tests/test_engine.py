@@ -12,7 +12,7 @@ from spinquiver.errors import UnknownPair
 from spinquiver.words import (WordSum, cprime_word_terms, is_closed, letter_tail_head,
                               u_power_word, word_tail_head, x_power_word)
 
-from conftest import bracket_gradients_loop, make_point
+from conftest import bracket_gradients_loop, make_point, trace_bracket_words_loop
 
 
 def all_letters(m, d, alphabet="y"):
@@ -241,6 +241,71 @@ def test_gradient_route_matches_word_route():
         a = eng.trace_bracket_value(w1, w2)
         b = eng.trace_bracket_grad(w1, w2)
         assert abs(a - b) < 1e-9 * max(1.0, abs(a))
+
+
+# -- word route against the per-term Leibniz loop -------------------------------
+
+def assert_word_route_matches_loop(eng, w1, w2):
+    """trace_bracket_value agrees with the per-term loop to 1e-14 of the term mass."""
+    val = eng.trace_bracket_value(w1, w2)
+    ref_val, ref_mass = trace_bracket_words_loop(eng, w1, w2)
+    assert isinstance(val, complex)
+    assert abs(val - ref_val) <= 1e-14 * ref_mass
+    return val, ref_mass
+
+
+def special_words(m, d, u):
+    """Closed words through the inverse, idempotent and unit-plus-word letters."""
+    out = []
+    for s in range(m):
+        out += [(("x", s), ("xi", s), ("e", s)), ((u + "i", s), (u, s), ("x", s), (u, s))]
+    uinv = [l for l in alphabet_letters(m, d, u) if l[0] == "uinv"][:2]
+    out += [(l,) for l in uinv] + [(l, l) for l in uinv]
+    return out
+
+
+@pytest.mark.parametrize("m,d,n,seed", [(1, 2, 2, 5), (2, 3, 2, 2), (3, 1, 3, 7), (4, 3, 2, 4)])
+def test_word_route_matches_loop_on_words(m, d, n, seed):
+    # random_words adds open and incomposable words, whose brackets are exactly 0
+    point, spec, params = make_point(m, d, n, seed)
+    eng = PointEngine(point, params)
+    rng = np.random.Generator(np.random.Philox(seed))
+    for u in ("y", "z"):
+        words = special_words(m, d, u) + random_words(rng, m, d, u)
+        assert {"x", "xi", u, u + "i", "e", "uinv"} <= {l[0] for w in words for l in w}
+        for w1 in words:
+            for w2 in words:
+                val, _ = assert_word_route_matches_loop(eng, w1, w2)
+                if not (is_closed(w1, m) and is_closed(w2, m)):
+                    assert val == 0
+
+
+@pytest.mark.parametrize("m,d,n,seed", [(1, 1, 2, 3), (2, 2, 3, 9), (3, 3, 4, 1), (4, 3, 6, 2)])
+def test_word_route_matches_loop_on_word_sums(m, d, n, seed):
+    # the power sums and spin traces of verify, and a sum of rotations of one
+    # word and of its square, so that letters repeat within and across words
+    point, spec, params = make_point(m, d, n, seed)
+    eng = PointEngine(point, params)
+    word = x_power_word(m, m, 0)
+    sums = [cycle_power_sum("x", m, m), cycle_power_sum("x", 2 * m, m),
+            cycle_power_sum("z", m, m), spin_trace_word(1, d, m + 1, m),
+            spin_trace_word(d, 1, 2 * m + 1, m),
+            WordSum(((0.5 - 1j, word), (2.0, word + word), (-1.5, word[1:] + word[:1])))]
+    masses = [assert_word_route_matches_loop(eng, w1, w2)[1] for w1 in sums for w2 in sums]
+    assert max(masses) > 0.0
+
+
+def test_word_route_shares_plans_by_letter_sequence():
+    # x^m with z^m and x^2m with z^2m meet their letters in the same order
+    point, spec, params = make_point(3, 2, 3, seed=4)
+    eng = PointEngine(point, params)
+    m = spec.m
+    plans = len(eng._plan_cache)
+    for k in (m, 2 * m):
+        _, mass = assert_word_route_matches_loop(eng, x_power_word(k, m, 0),
+                                                 u_power_word("z", k, m, 0))
+        assert mass > 0.0
+    assert len(eng._plan_cache) == plans + 1
 
 
 # -- batched gradient contraction against the per-term loop --------------------

@@ -1,5 +1,10 @@
 """Explicit flows vs the RK4 oracle; conservation and equivariance."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,7 @@ from spinquiver import (FlowSpec, LocalCoordinates, ModelSpec, Trajectory, deriv
                         family_value, flow_T, flow_Y, flow_Z, gauge_act, moment_residual,
                         ode_oracle, phi1, point_from_coordinates, random_coordinates,
                         random_point)
+import spinquiver
 from spinquiver import flows
 from spinquiver.cyclic import CycleMatrix
 from spinquiver.errors import SingularFactor
@@ -32,6 +38,28 @@ def test_expm_agrees_with_scipy(rng):
     import scipy.linalg
     A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     assert np.linalg.norm(expm(A) - scipy.linalg.expm(A)) < 1e-10 * np.linalg.norm(expm(A))
+
+
+def test_expm_fallback_on_defective_matrix():
+    # [[a, 1], [0, a]] has one eigenvector, so the eigenbasis is singular and
+    # expm falls back to Pade; the exact result is e^a [[1, 1], [0, 1]]
+    a = 0.3 + 0.2j
+    A = np.array([[a, 1.0], [0.0, a]])
+    vecs = np.linalg.eig(A)[1]
+    assert not np.linalg.cond(vecs) < flows._COND_LIMIT
+    exact = np.exp(a) * np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert np.max(np.abs(expm(A) - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg is imported only by the Pade fallback of expm
+    src = str(Path(spinquiver.__file__).resolve().parent.parent)
+    code = "import sys, spinquiver, spinquiver.cli; print('scipy.linalg' in sys.modules)"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_phi1_series_and_singular_input():
@@ -302,6 +330,40 @@ def test_vector_fields_take_the_domain_inverse_at_every_eta(rng):
         for eta in ETAS:
             with pytest.raises(np.linalg.LinAlgError):
                 field(A, B, 2, eta)
+
+
+def _raises_linalg_error(fn, blocks) -> bool:
+    try:
+        fn(blocks)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("errstate", [{}, {"over": "raise", "invalid": "raise"}])
+def test_domain_test_decides_as_inv(rng, errstate):
+    # _require_invertible raises exactly where inv does, on stacks of
+    # low-rank integer blocks (exact zero pivots or not) and on stacks with
+    # non-finite entries, both in numpy's default error state and in the
+    # oracle's, where inv still raises only LinAlgError
+    decided = {}
+    for _ in range(2000):
+        m, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        rank = np.where(rng.random(m) < 0.85, n, rng.integers(0, n, size=m))
+        blocks = np.stack([rng.integers(-2, 3, (n, r)) @ rng.integers(-2, 3, (r, n))
+                           for r in rank]).astype(complex)
+        finite = rng.random() < 0.7
+        if not finite:
+            idx = tuple(rng.integers(0, size) for size in blocks.shape)
+            blocks[idx] = rng.choice([np.inf, -np.inf, np.nan, complex(np.inf, np.nan)])
+        with np.errstate(**errstate):
+            want = _raises_linalg_error(np.linalg.inv, blocks)
+            got = _raises_linalg_error(
+                lambda b: flows._require_invertible(CycleMatrix(1, b)), blocks)
+        assert got == want, blocks
+        decided[finite, want] = decided.get((finite, want), 0) + 1
+    # both decisions were met, on finite and on non-finite stacks
+    assert len(decided) == 4 and min(decided.values()) >= 50, decided
 
 
 def _recipe_point(seed):
