@@ -25,6 +25,25 @@ def _shifted(m: int, deg: int) -> np.ndarray:
     return out
 
 
+def power_by_squaring(base, k: int):
+    """base^k for k >= 1, or None for k = 0: the products out @ base and
+    base @ base of binary exponentiation, in that order.
+
+    CycleMatrix.power and the RK4 oracle's traced fields (flows._Node) both
+    take their powers here, so their products associate alike.
+    """
+    if k < 0:
+        raise ValueError(f"power needs k >= 0, got {k}")
+    out = None
+    while k:
+        if k & 1:
+            out = base if out is None else out @ base
+        k >>= 1
+        if k:
+            base = base @ base
+    return out
+
+
 class CycleMatrix:
     """A cycle matrix of one cyclic degree: an (m, n, n) stack, block s from s to s + deg."""
 
@@ -96,15 +115,7 @@ class CycleMatrix:
 
     def power(self, k: int) -> "CycleMatrix":
         """self^k for k >= 0, by repeated squaring."""
-        if k < 0:
-            raise ValueError(f"power needs k >= 0, got {k}")
-        out, base = None, self
-        while k:
-            if k & 1:
-                out = base if out is None else out @ base
-            k >>= 1
-            if k:
-                base = base @ base
+        out = power_by_squaring(self, k)
         if out is None:
             return CycleMatrix(0, np.broadcast_to(np.eye(self.blocks.shape[1]), self.blocks.shape))
         return out

@@ -11,8 +11,21 @@ degree 0, so each exponential is taken block by block on a
 cyclic.CycleMatrix.  The analytic factor in the second flow is evaluated
 through an augmented-block exponential, so Y need not be invertible.  The
 oracle integrates the same vector fields (at general spectral parameter) with
-classical RK4 on CycleMatrix states; it exists to cross-check the closed
-forms and to drive conservation checks, not as a production integrator.
+classical RK4; it exists to cross-check the closed forms and to drive
+conservation checks, not as a production integrator.
+
+The oracle's state is one (2, m, n, n) stack, the blocks of X and of Z, Y or
+U = 1 + XY, so each RK4 stage combination and the update are one array
+operation.  Each vector field is written once, on cycle matrices, and traced
+into a plan cached per (hamiltonian, k, m, n, eta == 0): the products it
+takes, in their association (CycleMatrix.power's squaring order included),
+grouped by dependency level.  A level's products are one take, which gathers
+their blocks with precomputed shift indices, and one matmul into the call's
+own workspace; inverses, the shift 1 + eta Theta and the sums are one call
+each.  The trajectories are bit-identical to evaluating the fields product
+by product on CycleMatrix states: each product keeps its operands and
+association, a batched matmul multiplies each n x n block as a single one
+does, and the elementwise operations act on each entry alone.
 
 Each vector field evaluates its eta-terms (Theta or Theta^(-1), the shift
 1 + eta Theta and the eta-weighted part of dX) only when eta != 0.  The
@@ -20,16 +33,18 @@ matrix whose inverse defines Theta (ZX, 1 + YX, or X and U) is tested at
 every eta all the same, because that is the oracle's domain test: at eta = 0
 too, a trajectory that leaves the locus where Theta is defined stops there
 with SingularFactor instead of running on.  At eta = 0 the inverse itself is
-unused, so the test is an LU factorization alone (_require_invertible).
+unused, so the test is an LU factorization alone (_require_invertible), one
+over all the blocks a field tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .cyclic import CycleMatrix
+from .cyclic import CycleMatrix, _shifted, power_by_squaring
 from .errors import SingularFactor
 from .params import ParameterSet
 from .points import RepPoint, _readonly
@@ -141,26 +156,29 @@ def _point_with_XT(point: RepPoint, Xb, Tb) -> RepPoint:
 
 # -- RK4 oracle ---------------------------------------------------------------
 #
-# The fields act on CycleMatrix states: X of degree +1, Z and Y of degree -1,
-# U = 1 + XY of degree 0.
+# The fields act on cycle matrices: X of degree +1, Z and Y of degree -1,
+# U = 1 + XY of degree 0.  Each field is written once, below, as the
+# products, inverses and sums it takes.  _plan traces it on _Node
+# placeholders, and _Plan.run evaluates what the trace recorded on one
+# workspace stack, level by level.
 
-def _require_invertible(M: CycleMatrix) -> None:
-    """Raise LinAlgError exactly where M.inv() would: some block has an exact zero pivot.
+def _require_invertible(blocks: np.ndarray) -> None:
+    """Raise LinAlgError exactly where inv(blocks) would: some block has an exact zero pivot.
 
     slogdet runs the same LU factorization as inv and reports sign 0 for an
     exact zero pivot; a non-finite block gives sign nan, which passes here
     as it does in inv.  Floating-point flags are ignored, as inv ignores them.
     """
     with np.errstate(all="ignore"):
-        sign = np.linalg.slogdet(M.blocks)[0]
+        sign = np.linalg.slogdet(blocks)[0]
     if not sign.all():
         raise np.linalg.LinAlgError("Singular matrix")
 
 
-def _vf_Z(X, Z, k, eta):
+def _field_Z(X, Z, k, eta):
     ZX = Z @ X                              # Theta = XZ (ZX)^(-1) needs ZX invertible
     if eta == 0:
-        _require_invertible(ZX)
+        _test_invertible(ZX)
         Ukm1 = Z.power(k - 1)
         dX = -(X @ Ukm1 @ Z)
     else:
@@ -172,10 +190,10 @@ def _vf_Z(X, Z, k, eta):
     return dX, dZ
 
 
-def _vf_Y(X, Y, k, eta):
+def _field_Y(X, Y, k, eta):
     W = 1 + Y @ X                           # Theta = (1 + XY)(1 + YX)^(-1)
     if eta == 0:
-        _require_invertible(W)
+        _test_invertible(W)
         Ukm1 = Y.power(k - 1)
         dX = -Ukm1 - X @ Ukm1 @ Y
     else:
@@ -187,11 +205,10 @@ def _vf_Y(X, Y, k, eta):
     return dX, dY
 
 
-def _vf_T(X, U, k, eta):
+def _field_T(X, U, k, eta):
     # Theta^(-1) = X^(-1) U X U^(-1) needs X and U invertible
     if eta == 0:
-        _require_invertible(X)
-        _require_invertible(U)
+        _test_invertible(X, U)
         Ukm1 = U.power(k - 1)
         dX = -(Ukm1 @ U @ X)
     else:
@@ -201,6 +218,197 @@ def _vf_T(X, U, k, eta):
         dX = -(Ukm1 @ U @ X) - eta * (X @ Theta_inv @ Ukm1 @ U)
     dU = -(Ukm1 @ U @ U) + U @ Ukm1 @ U
     return dX, dU
+
+
+# hamiltonian -> (field, degree of the second state matrix)
+_FIELDS = {"trZ": (_field_Z, -1), "trY": (_field_Y, -1), "trT": (_field_T, 0)}
+
+
+class _Eta:
+    """sign * eta, the spectral parameter, while a field is traced at eta != 0."""
+
+    __slots__ = ("sign",)
+
+    def __init__(self, sign: int = 1):
+        self.sign = sign
+
+    def __neg__(self) -> "_Eta":
+        return _Eta(-self.sign)
+
+
+class _Node:
+    """A cycle matrix while a field is traced: its degree and the step that makes it.
+
+    Every node appends itself to the trace when it is made, so the trace
+    lists each value the field computes, after the values it reads; a value
+    the outputs do not need is still computed, as an eager evaluation would.
+    """
+
+    __slots__ = ("trace", "m", "op", "args", "deg", "sign")
+
+    def __init__(self, trace: list, m: int, op: str, args: tuple, deg: int, sign=None):
+        self.trace, self.m, self.op, self.args = trace, m, op, args
+        self.deg, self.sign = deg % m, sign
+        trace.append(self)
+
+    def _new(self, op, args, deg, sign=None) -> "_Node":
+        return _Node(self.trace, self.m, op, args, deg, sign)
+
+    def __matmul__(self, other: "_Node") -> "_Node":
+        return self._new("mm", (self, other), self.deg + other.deg)
+
+    def __neg__(self) -> "_Node":
+        return self._new("neg", (self,), self.deg)
+
+    def __add__(self, other: "_Node") -> "_Node":
+        return self._new("add", (self, other), self.deg)
+
+    def __radd__(self, one) -> "_Node":
+        if one != 1:
+            return NotImplemented
+        return self._new("add1", (self,), self.deg)      # 1 + self, self of degree 0
+
+    def __sub__(self, other: "_Node") -> "_Node":
+        return self + -other
+
+    def __rmul__(self, eta) -> "_Node":
+        if not isinstance(eta, _Eta):
+            return NotImplemented
+        return self._new("scale", (self,), self.deg, eta.sign)
+
+    def inv(self) -> "_Node":
+        return self._new("inv", (self,), -self.deg)
+
+    def power(self, k: int) -> "_Node":
+        out = power_by_squaring(self, k)
+        return self._new("one", (), 0) if out is None else out
+
+
+def _test_invertible(*nodes: _Node) -> None:
+    """Record one domain test over all the nodes' blocks (_require_invertible)."""
+    nodes[0]._new("test", nodes, 0)
+
+
+class _Plan:
+    """A traced field's steps grouped by dependency level, on one workspace stack.
+
+    The workspace has one (m, n, n) slot per traced value: slot 0 holds X,
+    slot 1 the second state matrix.  Within a level, domain tests run first,
+    then inverses and elementwise steps, one call each, then the level's
+    products: these sit in consecutive slots, so one take gathers their left
+    blocks and their right blocks shifted by the left degree (as
+    CycleMatrix.__matmul__ shifts them), and one matmul writes them all.
+    The plan holds read-only index arrays only; each caller owns a workspace.
+    """
+
+    def __init__(self, trace: list, outputs: tuple, m: int, n: int):
+        self.m, self.n = m, n
+        level, slot = {}, {}
+        for node in trace:
+            level[node] = 1 + max((level[a] for a in node.args), default=-1)
+            if level[node] == 0:            # the state and the identities
+                slot[node] = len(slot)
+        self.ones = [slot[node] for node in trace if node.op == "one"]
+        self.steps, gather = [], 0
+        for lev in range(1, max(level.values()) + 1):
+            nodes = [node for node in trace if level[node] == lev]
+            for node in nodes:
+                args = [slot[a] for a in node.args]
+                if node.op == "test":
+                    self.steps.append(("test", np.array(args)))
+                elif node.op != "mm":
+                    slot[node] = len(slot)
+                    step = (node.op, *args, slot[node])
+                    if node.op == "scale":
+                        step += (node.sign,)
+                    elif node.op == "inv":      # the inverse's block s + deg inverts block s
+                        step += (_shifted(m, -node.args[0].deg),)
+                    self.steps.append(step)
+            products = [node for node in nodes if node.op == "mm"]
+            if products:
+                lo = len(slot)
+                for node in products:
+                    slot[node] = len(slot)
+                left = [slot[p.args[0]] * m + np.arange(m) for p in products]
+                right = [slot[p.args[1]] * m + _shifted(m, p.args[0].deg) for p in products]
+                idx = np.concatenate(left + right)
+                idx.setflags(write=False)
+                self.steps.append(("mm", idx, lo * m, len(slot) * m))
+                gather = max(gather, len(idx))
+        self.slots, self.gather = len(slot), gather
+        self.out = np.array([slot[node] for node in outputs])
+        self.out.setflags(write=False)
+        self.degrees = tuple(node.deg for node in outputs)
+        self.eye = np.eye(n)
+        self.eye.setflags(write=False)
+
+    def workspace(self) -> tuple:
+        """A fresh (workspace, its (slots m, n, n) view, gather buffer) for run."""
+        work = np.empty((self.slots, self.m, self.n, self.n), dtype=complex)
+        work[self.ones] = self.eye
+        flat = work.reshape(-1, self.n, self.n)
+        return work, flat, np.empty((self.gather, self.n, self.n), dtype=complex)
+
+    def run(self, ws: tuple, eta, out: np.ndarray) -> None:
+        """Write the field at the state in workspace slots 0 and 1 into out (2, m, n, n).
+
+        take writes into its out without a buffer only in a mode other than
+        "raise"; every index here is in range, so "clip" changes nothing else.
+        """
+        work, flat, gather = ws
+        for step in self.steps:
+            op = step[0]
+            if op == "mm":
+                _, idx, lo, hi = step
+                both = flat.take(idx, axis=0, out=gather[:len(idx)], mode="clip")
+                np.matmul(both[:hi - lo], both[hi - lo:], out=flat[lo:hi])
+            elif op == "test":
+                _require_invertible(work[step[1]])
+            elif op == "inv":
+                np.linalg.inv(work[step[1]]).take(step[3], axis=0, out=work[step[2]],
+                                                  mode="clip")
+            elif op == "neg":
+                np.negative(work[step[1]], out=work[step[2]])
+            elif op == "add":
+                np.add(work[step[1]], work[step[2]], out=work[step[3]])
+            elif op == "add1":
+                np.add(work[step[1]], self.eye, out=work[step[2]])
+            else:       # scale
+                np.multiply(eta if step[3] > 0 else -eta, work[step[1]], out=work[step[2]])
+        work.take(self.out, axis=0, out=out, mode="clip")
+
+
+@lru_cache(maxsize=64)
+def _plan(hamiltonian: str, k: int, m: int, n: int, eta_is_zero: bool) -> _Plan:
+    """The plan of one field, traced at eta = 0 or with eta a placeholder."""
+    vf, deg = _FIELDS[hamiltonian]
+    trace = []
+    X = _Node(trace, m, "state", (), 1)
+    M = _Node(trace, m, "state", (), deg)
+    return _Plan(trace, vf(X, M, k, 0 if eta_is_zero else _Eta()), m, n)
+
+
+def _field(hamiltonian: str, X: CycleMatrix, M: CycleMatrix, k: int, eta):
+    """(dX, dM) of one field on CycleMatrix states, evaluated through its plan."""
+    m, n = X.blocks.shape[:2]
+    plan = _plan(hamiltonian, k, m, n, eta == 0)
+    ws = plan.workspace()
+    ws[0][0], ws[0][1] = X.blocks, M.blocks
+    out = np.empty((2, m, n, n), dtype=complex)
+    plan.run(ws, eta, out)
+    return CycleMatrix(plan.degrees[0], out[0]), CycleMatrix(plan.degrees[1], out[1])
+
+
+def _vf_Z(X, Z, k, eta):
+    return _field("trZ", X, Z, k, eta)
+
+
+def _vf_Y(X, Y, k, eta):
+    return _field("trY", X, Y, k, eta)
+
+
+def _vf_T(X, U, k, eta):
+    return _field("trT", X, U, k, eta)
 
 
 @dataclass
@@ -239,38 +447,41 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
     if flow.hamiltonian == "trZ":
         if point.Z is None:
             raise SingularFactor("oracle for tr Z^k needs invertible X")
-        state = (X, CycleMatrix.of_letters("z", point.Z))
+        M = CycleMatrix.of_letters("z", point.Z)
         rebuild = lambda X, M: _point_with_XZ(point, X.letters("x"), M.letters("z"))
     elif flow.hamiltonian == "trY":
-        state = (X, CycleMatrix.of_letters("y", point.Y))
+        M = CycleMatrix.of_letters("y", point.Y)
         rebuild = lambda X, M: RepPoint.make(spec, X.letters("x"), M.letters("y"),
                                              point.V, point.W)
     else:
-        state = (X, 1 + X @ CycleMatrix.of_letters("y", point.Y))
+        M = 1 + X @ CycleMatrix.of_letters("y", point.Y)
         rebuild = lambda X, M: _point_with_XT(point, X.letters("x"), M.blocks)
-    field = {"trZ": _vf_Z, "trY": _vf_Y, "trT": _vf_T}[flow.hamiltonian]
-    vf = lambda X, M: field(X, M, flow.k, flow.eta)
+    plan = _plan(flow.hamiltonian, flow.k, spec.m, spec.n, flow.eta == 0)
+    ws = plan.workspace()
+    stage = ws[0][:2]                       # the state a field evaluation reads
+    state = np.stack([X.blocks, M.blocks])
+    slopes = np.empty((4,) + state.shape, dtype=complex)
 
     h = flow.time / flow.steps
     stride = max(1, flow.steps // samples)
     traj = Trajectory()
     traj.append(0.0, point)
-    X, M = state
     for step in range(1, flow.steps + 1):
         try:
             with np.errstate(over="raise", invalid="raise"):
-                k1 = vf(X, M)
-                k2 = vf(X + 0.5 * h * k1[0], M + 0.5 * h * k1[1])
-                k3 = vf(X + 0.5 * h * k2[0], M + 0.5 * h * k2[1])
-                k4 = vf(X + h * k3[0], M + h * k3[1])
+                np.copyto(stage, state)
+                plan.run(ws, flow.eta, slopes[0])
+                for i, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
+                    np.add(state, np.multiply(c, slopes[i - 1], out=stage), out=stage)
+                    plan.run(ws, flow.eta, slopes[i])
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
             err = SingularFactor(f"oracle singular at step {step}", traj)
             raise err from exc
-        X = X + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        M = M + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        np.multiply(2, slopes[1:3], out=slopes[1:3])
+        state = state + (h / 6.0) * (slopes[0] + slopes[1] + slopes[2] + slopes[3])
         if step % stride == 0 or step == flow.steps:
             try:
-                sample = rebuild(X, M)
+                sample = rebuild(CycleMatrix(X.deg, state[0]), CycleMatrix(M.deg, state[1]))
             except (np.linalg.LinAlgError, SingularFactor) as exc:
                 err = SingularFactor(f"oracle state has a singular X block at step {step}", traj)
                 raise err from exc

@@ -3,7 +3,11 @@ import pytest
 
 from spinquiver import (LocalCoordinates, ModelSpec, derive_params,
                         point_from_coordinates, random_coordinates, random_point)
+from spinquiver import flows
+from spinquiver.cyclic import CycleMatrix
 from spinquiver.engine import _as_wordsum
+from spinquiver.errors import SingularFactor
+from spinquiver.points import RepPoint
 from spinquiver.words import letter_tail_head
 
 # fixed generic deformation parameters per cycle length, regular by construction
@@ -119,3 +123,51 @@ def trace_bracket_words_loop(eng, w1, w2):
                         mass += abs(term)
     return complex(total), float(mass)
 
+
+
+# -- reference for flows.ode_oracle: the per-stage CycleMatrix RK4 loop ----------
+
+def ode_oracle_loop(point, flow, field, samples=10):
+    """The oracle's trajectory, field(X, M, k, eta) -> (dX, dM) evaluated on CycleMatrix states.
+
+    Raises SingularFactor with the partial trajectory attached, with the
+    messages of flows.ode_oracle, and at the same steps.
+    """
+    spec = point.spec
+    X = CycleMatrix.of_letters("x", point.X)
+    if flow.hamiltonian == "trZ":
+        state = (X, CycleMatrix.of_letters("z", point.Z))
+        rebuild = lambda X, M: flows._point_with_XZ(point, X.letters("x"), M.letters("z"))
+    elif flow.hamiltonian == "trY":
+        state = (X, CycleMatrix.of_letters("y", point.Y))
+        rebuild = lambda X, M: RepPoint.make(spec, X.letters("x"), M.letters("y"),
+                                             point.V, point.W)
+    else:
+        state = (X, 1 + X @ CycleMatrix.of_letters("y", point.Y))
+        rebuild = lambda X, M: flows._point_with_XT(point, X.letters("x"), M.blocks)
+    vf = lambda X, M: field(X, M, flow.k, flow.eta)
+
+    h = flow.time / flow.steps
+    stride = max(1, flow.steps // samples)
+    traj = flows.Trajectory()
+    traj.append(0.0, point)
+    X, M = state
+    for step in range(1, flow.steps + 1):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                k1 = vf(X, M)
+                k2 = vf(X + 0.5 * h * k1[0], M + 0.5 * h * k1[1])
+                k3 = vf(X + 0.5 * h * k2[0], M + 0.5 * h * k2[1])
+                k4 = vf(X + h * k3[0], M + h * k3[1])
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+            raise SingularFactor(f"oracle singular at step {step}", traj) from exc
+        X = X + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        M = M + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        if step % stride == 0 or step == flow.steps:
+            try:
+                sample = rebuild(X, M)
+            except (np.linalg.LinAlgError, SingularFactor) as exc:
+                raise SingularFactor(f"oracle state has a singular X block at step {step}",
+                                     traj) from exc
+            traj.append(step * h, sample)
+    return traj

@@ -18,7 +18,7 @@ from spinquiver.cyclic import CycleMatrix
 from spinquiver.errors import SingularFactor
 from spinquiver.flows import closed_form_flow, conservation_report, expm
 
-from conftest import dense_cycle, tame_point
+from conftest import dense_cycle, ode_oracle_loop, tame_point
 
 TAME_Q = {2: [1.1 + 0.1j, 0.8 - 0.2j]}
 
@@ -358,8 +358,7 @@ def test_domain_test_decides_as_inv(rng, errstate):
             blocks[idx] = rng.choice([np.inf, -np.inf, np.nan, complex(np.inf, np.nan)])
         with np.errstate(**errstate):
             want = _raises_linalg_error(np.linalg.inv, blocks)
-            got = _raises_linalg_error(
-                lambda b: flows._require_invertible(CycleMatrix(1, b)), blocks)
+            got = _raises_linalg_error(flows._require_invertible, blocks)
         assert got == want, blocks
         decided[finite, want] = decided.get((finite, want), 0) + 1
     # both decisions were met, on finite and on non-finite stacks
@@ -374,14 +373,33 @@ def _recipe_point(seed):
     return random_point(ModelSpec(2, 2, 3), params, 10), params
 
 
-def _run_oracle(point, fs, params):
-    """(times, point blocks, None) of a full run; (times, blocks, message) on SingularFactor."""
+def _trajectory(run):
+    """(times, point blocks, message) of run(); the message is None unless SingularFactor."""
     try:
-        traj, message = ode_oracle(point, fs, params), None
+        traj, message = run(), None
     except SingularFactor as exc:
         traj, message = exc.args[1], exc.args[0]
     blocks = [p.X + p.Y + p.V + p.W + (p.Z or ()) for p in traj.points]
     return traj.times, blocks, message
+
+
+def _assert_same_trajectory(got, want):
+    """Equal times and messages, and bit-identical point blocks."""
+    assert got[2] == want[2]
+    assert got[0] == want[0]
+    assert len(got[1]) == len(want[1])
+    for g, w in zip(got[1], want[1]):
+        assert len(g) == len(w)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(g, w))
+
+
+def _counted(field):
+    """The field, counting its calls in .calls."""
+    def counted(*args):
+        counted.calls += 1
+        return field(*args)
+    counted.calls = 0
+    return counted
 
 
 def _checked(field, dense_field, inverted):
@@ -396,32 +414,53 @@ def _checked(field, dense_field, inverted):
     return checked
 
 
+HAMILTONIANS = dict(zip(("trZ", "trY", "trT"), FIELDS))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("seed", [3, 9])
-def test_oracle_matches_reference_fields(monkeypatch, seed):
+def test_oracle_matches_reference_fields(seed):
+    # the oracle against ode_oracle_loop driven by the graded references, and
+    # by the per-field entries onto the oracle's plans checked against the
+    # dense references
     point, params = _recipe_point(seed)
     messages = {}
-    for ham in ("trZ", "trY", "trT"):
+    for ham, (field, graded, dense_field, _deg, inverted) in HAMILTONIANS.items():
         for eta in (0.0, 0.3 - 0.2j):
             fs = FlowSpec(ham, 1 if ham == "trT" else 2, 1.0, eta, 100)
-            with monkeypatch.context() as patch:
-                for field, _graded_field, dense_field, _deg, inverted in FIELDS:
-                    patch.setattr(flows, field.__name__, _checked(field, dense_field, inverted))
-                times, blocks, message = _run_oracle(point, fs, params)
-            with monkeypatch.context() as patch:
-                for field, graded, *_ in FIELDS:
-                    patch.setattr(flows, field.__name__, graded)
-                ref_times, ref_blocks, ref_message = _run_oracle(point, fs, params)
-            assert message == ref_message
-            assert times == ref_times
-            assert len(blocks) == len(ref_blocks)
-            for got, want in zip(blocks, ref_blocks):
-                assert len(got) == len(want)
-                assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            messages[ham, eta] = message
+            got = _trajectory(lambda: ode_oracle(point, fs, params))
+            for reference in (graded, _checked(field, dense_field, inverted)):
+                reference = _counted(reference)
+                _assert_same_trajectory(got, _trajectory(
+                    lambda: ode_oracle_loop(point, fs, reference)))
+                assert reference.calls > 0
+            messages[ham, eta] = got[2]
     if seed == 3:   # both eta = 0 flows leave the domain, so the failure path is compared
         assert messages["trZ", 0.0] == "oracle singular at step 11"
         assert messages["trY", 0.0] == "oracle singular at step 11"
+
+
+# (m, d, n) of the tame points the oracle is compared on, one per cycle length
+ORACLE_SPECS = [(1, 2, 3), (2, 2, 3), (3, 3, 6), (4, 2, 3)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mdn", ORACLE_SPECS)
+def test_oracle_matches_reference_loop(mdn):
+    # every Hamiltonian at the powers the flows take (trT at k = 1 multiplies
+    # by the identity U^0), at eta = 0 and eta != 0, sampled every 5 of 41 steps
+    point, spec, params = tame_point(*mdn, seed=5)
+    m, outcomes = spec.m, set()
+    for ham, (_field, graded, *_rest) in HAMILTONIANS.items():
+        for k in (1, 2, 3, 4) if ham == "trT" else (m, 2 * m):
+            for eta in (0.0, 0.3 - 0.2j):
+                fs = FlowSpec(ham, k, 1.0, eta, 41)
+                got = _trajectory(lambda: ode_oracle(point, fs, params, samples=7))
+                want = _trajectory(lambda: ode_oracle_loop(point, fs, graded, samples=7))
+                _assert_same_trajectory(got, want)
+                assert len(got[0]) == 10 or got[2] is not None
+                outcomes.add(got[2] is None)
+    assert True in outcomes
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -437,6 +476,33 @@ def test_oracle_rebuild_failure_is_singular_factor():
     assert partial.times[-1] == pytest.approx(0.2)
     assert len(partial.points) == 3
     assert isinstance(info.value.__cause__, SingularFactor)
+    fs = FlowSpec("trZ", 2, 1.0, 0.0, 100)
+    _assert_same_trajectory(_trajectory(lambda: ode_oracle(point, fs, params)),
+                            _trajectory(lambda: ode_oracle_loop(point, fs, _graded_vf_Z)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_oracle_is_reentrant(monkeypatch):
+    # a second oracle on the same plan runs whole inside the first one's first
+    # domain test, in the middle of a field evaluation; each call owns its
+    # workspace, so both match the runs made one at a time
+    fs = FlowSpec("trT", 1, 1.0, 0.0, 100)
+    (p1, params1), (p2, params2) = _recipe_point(9), _recipe_point(11)
+    alone = [_trajectory(lambda: ode_oracle(p, fs, par)) for p, par in ((p1, params1),
+                                                                      (p2, params2))]
+    require, inner = flows._require_invertible, []
+
+    def interleaved(blocks):
+        if not inner:
+            inner.append(None)
+            inner[0] = _trajectory(lambda: ode_oracle(p2, fs, params2))
+        require(blocks)
+
+    monkeypatch.setattr(flows, "_require_invertible", interleaved)
+    outer = _trajectory(lambda: ode_oracle(p1, fs, params1))
+    _assert_same_trajectory(outer, alone[0])
+    _assert_same_trajectory(inner[0], alone[1])
+    assert len(alone[0][0]) > 1 and len(alone[1][0]) > 1
 
 
 def test_flow_Z_singular_endpoint_is_singular_factor():
