@@ -47,7 +47,7 @@ import numpy as np
 from .cyclic import CycleMatrix, _shifted, power_by_squaring
 from .errors import SingularFactor
 from .params import ParameterSet
-from .points import RepPoint, _readonly
+from .points import RepPoint
 
 _COND_LIMIT = 1e8
 
@@ -100,10 +100,8 @@ def _point_with_XZ(point: RepPoint, Xb, Zb) -> RepPoint:
         except np.linalg.LinAlgError as exc:
             raise SingularFactor(
                 f"X_{s} singular, so Y_{s} = Z_{s} - X_{s}^(-1) is undefined") from exc
-    made = RepPoint.make(spec, Xb, Y, point.V, point.W)
     # keep the conserved matrix bit-identical rather than re-derived
-    return RepPoint(spec=spec, X=made.X, Y=made.Y, V=made.V, W=made.W,
-                    Z=tuple(_readonly(z) for z in Zb))
+    return RepPoint.make(spec, Xb, Y, point.V, point.W, Z=Zb)
 
 
 def flow_Z(point: RepPoint, k: int, time: complex) -> RepPoint:

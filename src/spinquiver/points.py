@@ -10,6 +10,7 @@ in which case the multiplicative moment conditions hold by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -38,8 +39,8 @@ class RepPoint:
 
     X[s] is n x n for the arrow s -> s+1, Y[s] for the reversed arrow,
     V[a] is a 1 x n row (framing vertex to 0), W[a] an n x 1 column.
-    Z[s] = Y[s] + X[s]^(-1) is cached at construction when X is invertible,
-    otherwise Z is None.
+    Z[s] = Y[s] + X[s]^(-1) is cached at construction when X is invertible
+    (make keeps a Z it is given), otherwise Z is None.
     """
 
     spec: ModelSpec
@@ -50,7 +51,7 @@ class RepPoint:
     Z: tuple | None = None
 
     @staticmethod
-    def make(spec: ModelSpec, X, Y, V, W) -> "RepPoint":
+    def make(spec: ModelSpec, X, Y, V, W, Z=None) -> "RepPoint":
         X = tuple(_readonly(x) for x in X)
         Y = tuple(_readonly(y) for y in Y)
         V = tuple(_readonly(np.atleast_2d(v)) for v in V)
@@ -65,12 +66,12 @@ class RepPoint:
         for v in V:
             if v.shape != (1, spec.n):
                 raise ValueError("V blocks must be 1 x n rows")
-        Z = None
-        try:
-            Z = tuple(_readonly(Y[s] + np.linalg.inv(X[s])) for s in range(spec.m))
-        except np.linalg.LinAlgError:
-            Z = None
-        return RepPoint(spec=spec, X=X, Y=Y, V=V, W=W, Z=Z)
+        if Z is None:
+            try:
+                Z = np.stack(Y) + np.linalg.inv(np.stack(X))
+            except np.linalg.LinAlgError:
+                return RepPoint(spec=spec, X=X, Y=Y, V=V, W=W)
+        return RepPoint(spec=spec, X=X, Y=Y, V=V, W=W, Z=tuple(_readonly(z) for z in Z))
 
     def validate(self) -> None:
         """Check the invertibility invariants; raise Degenerate on failure."""
@@ -366,29 +367,37 @@ def spin_data(point: RepPoint, params: ParameterSet) -> SpinData:
 
 def reduced_quadruple(point: RepPoint, params: ParameterSet,
                       check_tol: float = 1e-9) -> ReducedQuadruple:
-    """Normalize X_0 = ... = X_{m-2} = Id and return the quadruple (A, B, bigA, bigC)."""
-    spec = point.spec
-    m, n = spec.m, spec.n
+    """Normalize X_0 = ... = X_{m-2} = Id and return the quadruple (A, B, bigA, bigC).
+
+    Closed form of the gauge g_0 = Id, g_{s+1} = X_0...X_s, with A^(-1) its only
+    inverse: A = X_0 X_1...X_{m-1} (left to right), B = (Id + X_0 Y_0)/q_0, bigA =
+    A [W_1...W_d], bigC_a = V_a (Id + W_{a-1} V_{a-1})...(Id + W_1 V_1) Z'/t, where
+    Z' = (Id + Y_{m-1} X_{m-1}) A^(-1).  SingularX if A is singular; Degenerate if
+    the commutation identity q_0 B A^(-1) = q_0 t A^(-1)(B + bigA bigC) misses check_tol.
+    """
     if point.Z is None:
         raise SingularX("point has a singular X_s")
-    g = [np.eye(n, dtype=complex)]
-    for s in range(m - 1):
-        g.append(g[s] @ point.X[s])
-    normalized = gauge_act(g, point)
-    A = normalized.X[m - 1]
-    # X_0 Z_0 = t_0 B on-shell; the normalized frame has X_0 = Id when m >= 2,
-    # while the Jordan case keeps X_0 = A
-    B = normalized.X[0] @ normalized.require_Z()[0] / params.q[0]
-    spins = spin_data(normalized, params)
-    bigA = A @ spins.Am
-    bigC = np.array(spins.Cm)
-
-    Ainv = np.linalg.inv(A)
+    A = reduce(np.matmul, point.X)
+    try:
+        Ainv = np.linalg.inv(A)
+    except np.linalg.LinAlgError as exc:
+        raise SingularX("the cycle product A = X_0 ... X_{m-1} is singular") from exc
+    eye = np.eye(point.spec.n)
+    B = (eye + point.X[0] @ point.Y[0]) / params.q[0]
+    bigA = A @ np.hstack(point.W)
+    rows, acc = [], eye
+    for v, w in zip(point.V, point.W):
+        rows.append(v @ acc)
+        acc = acc + w @ rows[-1]
+    rows = np.vstack(rows)
+    bigC = (rows @ Ainv + rows @ point.Y[-1] @ point.X[-1] @ Ainv) / params.t
     lhs = params.q[0] * B @ Ainv
     rhs = params.q[0] * params.t * (Ainv @ B + Ainv @ bigA @ bigC)
     scale = max(1.0, np.linalg.norm(lhs))
-    if np.linalg.norm(lhs - rhs) > check_tol * scale:
-        raise Degenerate("reduced quadruple fails the commutation identity")
+    residual = np.linalg.norm(lhs - rhs)
+    if residual > check_tol * scale:
+        raise Degenerate(f"reduced quadruple fails the commutation identity: residual "
+                         f"{residual:.3e} > tol {check_tol:.1e} x scale {scale:.3e}")
     return ReducedQuadruple(A=_readonly(A), B=_readonly(B),
                             bigA=_readonly(bigA), bigC=_readonly(bigC))
 

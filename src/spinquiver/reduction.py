@@ -14,8 +14,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BranchInvalid, SingularH, SingularX
-from .params import ParameterSet, derive_params
-from .points import RepPoint, ReducedQuadruple, SpinData, _readonly
+from .params import ModelSpec, ParameterSet, derive_params
+from .points import (RepPoint, ReducedQuadruple, SpinData, _readonly, gauge_act,
+                     reduced_quadruple)
 
 _ROWSUM_TOL = 1e-12
 
@@ -121,7 +122,6 @@ def h_invariant_value(point: RepPoint, word, params: ParameterSet,
     invariant under the spin-reduction action.  Pass `h` to evaluate at the
     h-acted spin data.
     """
-    from .points import reduced_quadruple
     if isinstance(word, str):
         word = parse_invariant_word(word)
     quad = reduced_quadruple(point, params)
@@ -154,7 +154,6 @@ def lambda_gauge(point: RepPoint, params: ParameterSet, branch=None) -> RepPoint
     default, shifted by the per-particle branch integers) and gauges by
     g_s = diag(lambda^(m-s)), after which every X_s equals diag(lambda).
     """
-    from .points import gauge_act
     m, n = point.spec.m, point.spec.n
     if not is_diagonal_normal_form(point):
         raise ValueError("lambda gauge needs the diagonal normal form")
@@ -231,16 +230,10 @@ class DualPoint:
 
     def as_rep_point(self, d: int = 1) -> RepPoint:
         """Embed as a RepPoint with zero framing vectors (bracket evaluation only)."""
-        m = len(self.X)
-        n = self.X[0].shape[0]
-        from .params import ModelSpec
-        spec = ModelSpec(m=m, d=d, n=n)
+        m, n = len(self.X), self.X[0].shape[0]
         Y = [self.Z[s] - np.linalg.inv(self.X[s]) for s in range(m)]
-        V = [np.zeros((1, n)) for _ in range(d)]
-        W = [np.zeros((n, 1)) for _ in range(d)]
-        made = RepPoint.make(spec, self.X, Y, V, W)
-        return RepPoint(spec=spec, X=made.X, Y=made.Y, V=made.V, W=made.W,
-                        Z=tuple(_readonly(z) for z in self.Z))
+        V, W = [np.zeros((1, n))] * d, [np.zeros((n, 1))] * d
+        return RepPoint.make(ModelSpec(m=m, d=d, n=n), self.X, Y, V, W, Z=self.Z)
 
 
 def dual_params(params: ParameterSet) -> ParameterSet:

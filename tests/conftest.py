@@ -6,8 +6,9 @@ from spinquiver import (LocalCoordinates, ModelSpec, derive_params,
 from spinquiver import flows
 from spinquiver.cyclic import CycleMatrix
 from spinquiver.engine import _as_wordsum
-from spinquiver.errors import SingularFactor
-from spinquiver.points import RepPoint
+from spinquiver.errors import Degenerate, SingularFactor, SingularX
+from spinquiver.points import (ReducedQuadruple, RepPoint, _readonly, gauge_act,
+                               spin_data)
 from spinquiver.words import letter_tail_head
 
 # fixed generic deformation parameters per cycle length, regular by construction
@@ -81,6 +82,36 @@ def cycle_blocks(kind, total, m):
         tail, head = letter_tail_head((kind, s), m)
         out.append(total[tail * n:(tail + 1) * n, head * n:(head + 1) * n])
     return out
+
+
+# -- reference for points.reduced_quadruple: gauge the whole point ---------------
+
+def reduced_quadruple_by_gauge(point, params, check_tol=1e-9):
+    """The quadruple read off the point gauged by g_0 = Id, g_{s+1} = g_s X_s."""
+    spec = point.spec
+    m, n = spec.m, spec.n
+    if point.Z is None:
+        raise SingularX("point has a singular X_s")
+    g = [np.eye(n, dtype=complex)]
+    for s in range(m - 1):
+        g.append(g[s] @ point.X[s])
+    normalized = gauge_act(g, point)
+    A = normalized.X[m - 1]
+    # X_0 Z_0 = t_0 B on-shell; the normalized frame has X_0 = Id when m >= 2,
+    # while the Jordan case keeps X_0 = A
+    B = normalized.X[0] @ normalized.require_Z()[0] / params.q[0]
+    spins = spin_data(normalized, params)
+    bigA = A @ spins.Am
+    bigC = np.array(spins.Cm)
+
+    Ainv = np.linalg.inv(A)
+    lhs = params.q[0] * B @ Ainv
+    rhs = params.q[0] * params.t * (Ainv @ B + Ainv @ bigA @ bigC)
+    scale = max(1.0, np.linalg.norm(lhs))
+    if np.linalg.norm(lhs - rhs) > check_tol * scale:
+        raise Degenerate("reduced quadruple fails the commutation identity")
+    return ReducedQuadruple(A=_readonly(A), B=_readonly(B),
+                            bigA=_readonly(bigA), bigC=_readonly(bigC))
 
 
 # -- reference for PointEngine.bracket_gradients: the per-term loop -------------

@@ -4,10 +4,10 @@ import pytest
 from spinquiver import (LocalCoordinates, ModelSpec, derive_params, gauge_act,
                         moment_residual, point_from_coordinates, random_coordinates,
                         random_point, reduced_quadruple, spin_data)
-from spinquiver.errors import RegularityViolation, SamplingExhausted, SingularX
-from spinquiver.points import quadruple_from_coordinates
+from spinquiver.errors import Degenerate, RegularityViolation, SamplingExhausted, SingularX
+from spinquiver.points import RepPoint, quadruple_from_coordinates
 
-from conftest import make_point, make_setup
+from conftest import make_point, make_setup, reduced_quadruple_by_gauge
 
 
 def test_scalar_instance():
@@ -211,6 +211,80 @@ def test_reduced_quadruple_singular_x():
     broken = RepPoint.make(spec, X, point.Y, point.V, point.W)
     with pytest.raises(SingularX):
         reduced_quadruple(broken, params)
+
+
+# -- the closed-form quadruple against the gauge route of conftest -------------
+
+GRID = [(m, d, n) for m in (1, 2, 3, 4) for d in (1, 2, 3) for n in (2, 3, 4, 5, 6)]
+
+
+def assert_quadruples_close(quad, ref, tol=1e-12):
+    for name in ("A", "B", "bigA", "bigC"):
+        got, want = getattr(quad, name), getattr(ref, name)
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want), name
+
+
+def with_y0_moved(point, rel, rng):
+    """The point with Y_0 moved by rel times its norm in a random direction."""
+    n = point.spec.n
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Y = list(point.Y)
+    Y[0] = Y[0] + rel * np.linalg.norm(Y[0]) * noise / np.linalg.norm(noise)
+    return RepPoint.make(point.spec, point.X, Y, point.V, point.W)
+
+
+@pytest.mark.parametrize("m,d,n", GRID)
+def test_reduced_quadruple_matches_gauge_route(m, d, n, rng):
+    point, spec, params = make_point(m, d, n, seed=3)
+    quad, ref = reduced_quadruple(point, params), reduced_quadruple_by_gauge(point, params)
+    assert_quadruples_close(quad, ref)
+    # the cycle product is multiplied left to right, as the gauge route does
+    assert np.array_equal(quad.A, ref.A)
+    g = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(m)]
+    moved = gauge_act(g, point)
+    assert_quadruples_close(reduced_quadruple(moved, params),
+                            reduced_quadruple_by_gauge(moved, params))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 4), (3, 6)])
+def test_reduced_quadruple_negative_controls(m, d, n, rng):
+    point, spec, params = make_point(m, d, n, seed=5)
+    # a 1e-6 move of Y_0 breaks the vertex-0 moment condition on both routes
+    broken = with_y0_moved(point, 1e-6, rng)
+    with pytest.raises(Degenerate, match=r"commutation identity: residual \S+ > tol "
+                                         r"1\.0e-09 x scale \S+"):
+        reduced_quadruple(broken, params)
+    with pytest.raises(Degenerate):
+        reduced_quadruple_by_gauge(broken, params)
+    # a 1e-12 move stays inside check_tol on both routes
+    nudged = with_y0_moved(point, 1e-12, rng)
+    assert_quadruples_close(reduced_quadruple(nudged, params),
+                            reduced_quadruple_by_gauge(nudged, params))
+
+
+def test_reduced_quadruple_singular_cycle_product():
+    # every X_s is invertible, but X_0 X_1 underflows to an exactly singular A
+    point, spec, params = make_point(2, 2, 3, seed=1)
+    tiny = np.diag([1e-200, 1.0, 1.0])
+    broken = RepPoint.make(spec, [tiny, tiny], point.Y, point.V, point.W)
+    assert broken.Z is not None
+    with pytest.raises(SingularX, match="cycle product"):
+        reduced_quadruple(broken, params)
+    with pytest.raises(SingularX):
+        reduced_quadruple_by_gauge(broken, params)
+
+
+def test_make_inverts_the_stack_blockwise(rng):
+    for m, n in [(1, 2), (2, 5), (3, 9), (4, 13)]:
+        X = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(m)]
+        Y = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(m)]
+        V, W = [np.ones((1, n))], [np.ones((n, 1))]
+        point = RepPoint.make(ModelSpec(m, 1, n), X, Y, V, W)
+        for s in range(m):
+            assert np.array_equal(point.Z[s], Y[s] + np.linalg.inv(X[s]))
+        X[m - 1] = np.zeros((n, n))
+        assert RepPoint.make(ModelSpec(m, 1, n), X, Y, V, W).Z is None
 
 
 def test_trace_observables_gauge_invariant(rng):

@@ -9,6 +9,7 @@ from spinquiver import (HElement, ModelSpec, PointEngine, derive_params,
                         point_from_coordinates, random_coordinates, random_h,
                         spin_data, trY2_closed_form, trZ2_closed_form)
 from spinquiver.errors import SingularH
+from spinquiver.points import RepPoint
 from spinquiver.reduction import (dual_moment_residual, full_rank_d, iota_word,
                                   is_diagonal_normal_form, lambda_gauge_z_blocks,
                                   parse_invariant_word)
@@ -190,6 +191,24 @@ def test_dual_involution_exact(dual_setup):
     again = dual_point(dp.as_rep_point(), dp.params)
     assert max(np.linalg.norm(a - b) for a, b in zip(again.X, point.X)) < 1e-12
     assert abs(again.params.t - params.t) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_as_rep_point_bytes_unchanged(dual_setup, d):
+    point, spec, params, dp = dual_setup
+    m, n = spec.m, spec.n
+    # the construction it replaces: make (which derives a Z), then a copy with the given Z
+    Y = [dp.Z[s] - np.linalg.inv(dp.X[s]) for s in range(m)]
+    V, W = [np.zeros((1, n)) for _ in range(d)], [np.zeros((n, 1)) for _ in range(d)]
+    made = RepPoint.make(ModelSpec(m=m, d=d, n=n), dp.X, Y, V, W)
+    pr = dp.as_rep_point(d)
+    assert pr.spec == made.spec
+    for got, want in [(pr.X, made.X), (pr.Y, made.Y), (pr.V, made.V), (pr.W, made.W),
+                      (pr.Z, dp.Z)]:
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable and a is not b
 
 
 def test_family_swap(dual_setup):
