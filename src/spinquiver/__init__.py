@@ -17,7 +17,7 @@ from .words import (WordSum, cycle_power_sum, parse_word, spin_trace_word,
                     u_power_word, word_to_text, x_power_word)
 from .brackets import (double_bracket, generator_bracket, phi_word_terms,
                        trace_bracket_symbolic)
-from .engine import PointEngine
+from .engine import Gradient, PointEngine
 from .families import (EtaPolynomial, TotalMatrices, cy2_rank, family_gradients,
                        family_poly, family_value, independence_rank, qu_generator,
                        qu_gradients, power_trace_gradients, reduced_F, reduced_G,

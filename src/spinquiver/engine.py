@@ -6,10 +6,11 @@ row or n x 1 column between vertex 0 and the framing vertex, an identity
 block for an idempotent.  A word evaluates to the product of its letter
 blocks on (tail of its first letter, head of its last); it is zero when its
 letters do not compose, which words.word_tail_head decides before any product
-is formed.  Gradient dictionaries map each base letter to a block of that
-letter's shape.  PointEngine.letter_gradients takes (letter, Q) pairs, Q the
-transposed gradient on that letter's block, and is the one place where the
-rules for z = y + x^(-1), inverses and unit-plus-word letters are applied.
+is formed.  A Gradient is an immutable map from each base letter to a
+read-only block of that letter's shape.  PointEngine.letter_gradients takes
+(letter, Q) pairs, Q the transposed gradient on that letter's block, returns
+a Gradient, and is the one place where the rules for z = y + x^(-1),
+inverses and unit-plus-word letters are applied.
 The total space C^(m n + 1), block v of size n for each cycle vertex and a
 final 1-dimensional block for the framing vertex, is only the output of the
 public eval_* methods and loday_matrix.
@@ -30,15 +31,21 @@ Its terms are multiplied without checking vertices: a term {{a, b}} has its
 left word on (tail b, head a) and its right word on (tail a, head b), which
 the tests check over the whole table.  The two routes agree (tested).
 
-Both routes contract from a plan cached per pair of key sequences: the pair
-terms of every key pair, grouped by the shapes of their (L, R) blocks, with
-each group's L^T and R^T stacked.  A call gathers the blocks by term and
-evaluates each group in one batched pass; the term mass is still the sum of
-the terms' absolute values.  loday_matrix keeps its own term-by-term
-Leibniz loop, as an independent check of the word route.
+Both routes contract from a plan cached per pair of key sequences.  By
+cyclicity a term coeff tr(D_F[a] L^T D_G[b] R^T) is tr(A_t B_t), with the
+F half A_t = coeff R^T D_F[a] and the G half B_t = L^T D_G[b].  The plan
+groups the terms by block shape and stacks each group's words, so each
+side's halves for every term are one batched matmul per group.  A Gradient
+keeps the last half it formed, per (plan, side): a family's all-pairs loop
+forms about two halves per member, and each pair costs one product of two
+flat halves and the per-term sums.  The term mass is still the sum of the
+terms' absolute values.  loday_matrix keeps its own term-by-term Leibniz
+loop, as an independent check of the word route.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -46,7 +53,7 @@ from .brackets import (_INVERSE_OF, generator_bracket, phi_word_terms,
                        trace_bracket_symbolic)
 from .errors import SingularFactor
 from .params import ParameterSet
-from .points import RepPoint
+from .points import RepPoint, _readonly
 from .words import WordSum, letter_tail_head, word_tail_head
 
 
@@ -54,6 +61,102 @@ def _as_wordsum(w) -> WordSum:
     if isinstance(w, WordSum):
         return w
     return WordSum(((1.0, tuple(w)),))
+
+
+class Gradient(Mapping):
+    """An immutable map from letters to read-only gradient blocks.
+
+    D[g][i, j] = dF / d g_ij, a block of letter g's shape.  The constructor
+    copies its blocks.
+
+    bracket_gradients keeps on a Gradient the last contraction half it formed
+    from the blocks, keyed by (plan, side).  One slot is enough for an
+    all-pairs loop over the upper triangle, row by row: a member is the G side
+    of every row before its own and the F side from its own row on, so it
+    forms each half once, while the memory kept stays at one half per
+    gradient.  Plans belong to one engine, so a half is never read against
+    another point's pair table.
+    """
+
+    __slots__ = ("_blocks", "_memo")
+
+    def __init__(self, blocks=()):
+        self._blocks = {g: _readonly(D) for g, D in dict(blocks).items()}
+        self._memo = None
+
+    @classmethod
+    def _wrap(cls, blocks: dict) -> "Gradient":
+        """A Gradient over blocks as given, for blocks that no caller writes to."""
+        out = cls.__new__(cls)
+        out._blocks = blocks
+        out._memo = None
+        return out
+
+    def __getitem__(self, g) -> np.ndarray:
+        return self._blocks[g]
+
+    def __iter__(self):
+        return iter(self._blocks)
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+    def _half(self, plan: "_BracketPlan", side: int) -> np.ndarray:
+        memo = self._memo
+        if memo is not None and memo[0] is plan and memo[1] == side:
+            return memo[2]
+        half = plan.half(side, self._blocks)
+        self._memo = (plan, side, half)
+        return half
+
+
+class _BracketPlan:
+    """The pair terms of two key sequences, stacked so each side's halves are one matmul per group.
+
+    A term coeff * tr(D_F[a] L^T D_G[b] R^T) is tr(A_t B_t) with the F half
+    A_t = coeff R^T D_F[a] and the G half B_t = L^T D_G[b].  Terms are grouped
+    by the shapes of their (L, R) blocks, which fix those of D_F[a] (R rows by
+    L columns) and D_G[b] (L rows by R columns).  Per group and side, `sides`
+    holds the distinct keys the group reads, each term's index into them, and
+    the terms' words stacked: coeff R^T for F, L for G.  One gather of the key
+    blocks and one batched matmul give every term's A_t, or B_t transposed,
+    both R columns by L columns; so tr(A_t B_t) is the sum of the product of
+    the two flat halves over the term's run.  `starts` are the runs' offsets,
+    None when there is no term.
+    """
+
+    __slots__ = ("sides", "starts")
+
+    def __init__(self, groups: dict):
+        """groups: per (L, R) block shapes, (coeff, a, b, L, R) per term."""
+        self.sides: tuple = ([], [])
+        starts: list = []
+        total = 0
+        for ((_, Lc), (_, Rc)), terms in groups.items():
+            cs, keysF, keysG, Ls, Rs = zip(*terms)
+            wordsF = np.array([R.T for R in Rs]) * np.array(cs)[:, None, None]
+            self.sides[0].append(_term_keys(keysF) + (wordsF,))
+            self.sides[1].append(_term_keys(keysG) + (np.array(Ls),))
+            starts.extend(range(total, total + len(terms) * Rc * Lc, Rc * Lc))
+            total += len(terms) * Rc * Lc
+        self.starts = np.array(starts) if starts else None
+
+    def half(self, side: int, blocks: dict) -> np.ndarray:
+        """Every term's half on one side, from that side's gradient blocks, flat in term order."""
+        if side == 0:
+            parts = [words @ np.array([blocks[g] for g in keys]).take(index, axis=0)
+                     for keys, index, words in self.sides[0]]
+        else:
+            parts = [np.array([blocks[g].T for g in keys]).take(index, axis=0) @ words
+                     for keys, index, words in self.sides[1]]
+        return parts[0].ravel() if len(parts) == 1 else np.concatenate([p.ravel() for p in parts])
+
+
+def _term_keys(keys_t) -> tuple:
+    """(keys, index): the distinct keys in first-use order and each term's position among them."""
+    keys = tuple(dict.fromkeys(keys_t))
+    where = {k: i for i, k in enumerate(keys)}
+    return keys, np.array([where[k] for k in keys_t])
 
 
 class PointEngine:
@@ -284,74 +387,72 @@ class PointEngine:
             return
         raise ValueError(f"unknown letter {letter!r}")
 
-    def letter_gradients(self, pairs) -> dict:
-        """Gradient blocks over the base generators from (letter, Q = (dF/d letter)^T) pairs.
+    def letter_gradients(self, pairs) -> Gradient:
+        """The Gradient over the base generators from (letter, Q = (dF/d letter)^T) pairs.
 
-        All-zero blocks are left out.
+        Keys follow the order in which the chain rule first reaches them, and
+        all-zero blocks are left out.  The result is immutable, so
+        bracket_gradients may keep its contraction halves on it.
         """
         accQ: dict = {}
         for letter, Q in pairs:
             self._accumulate_letter_grad(letter, Q, accQ)
-        return {g: Q.T for g, Q in accQ.items() if np.any(Q)}
+        blocks = {g: Q.T for g, Q in accQ.items() if np.any(Q)}
+        for D in blocks.values():
+            D.flags.writeable = False
+        return Gradient._wrap(blocks)
 
-    def grad_trace_wordsum(self, ws) -> dict:
+    def grad_trace_wordsum(self, ws) -> Gradient:
         """Gradient blocks D[g][i, j] = d tr(ws) / d g_ij over the base generators.
 
         The word route's letter-level rests, through the chain rule.
         """
         return self.letter_gradients(self._letter_rests(ws).items())
 
-    def _bracket_plan(self, keysF: tuple, keysG: tuple) -> tuple:
-        """The pair terms of two key sequences, grouped by (L, R) block shape; cached.
+    def _bracket_plan(self, keysF: tuple, keysG: tuple) -> "_BracketPlan":
+        """The pair terms of two key sequences, grouped by block shape; cached.
 
-        Per group: the coefficients, the distinct F keys and G keys the group
-        reads (as positions in keysF and keysG), each term's index into those,
-        and the stacked L^T and R^T.  A group's shapes fix those of D_F[a]
-        (R rows by L columns) and D_G[b] (L rows by R columns), so each side's
-        blocks stack.  No gradient value is kept.
+        See _BracketPlan.  No gradient value is kept.
         """
         key = (keysF, keysG)
         plan = self._plan_cache.get(key)
         if plan is None:
             groups: dict = {}
-            for i, a in enumerate(keysF):
-                for j, b in enumerate(keysG):
+            for a in keysF:
+                for b in keysG:
                     for c, L, R in self._pair_terms(a, b):
-                        groups.setdefault((L.shape, R.shape), []).append((c, i, j, L.T, R.T))
-            plan = []
-            for terms in groups.values():
-                cs, ia, ib, Lt, Rt = zip(*terms)
-                fa, fb = tuple(dict.fromkeys(ia)), tuple(dict.fromkeys(ib))
-                plan.append((np.array(cs), fa, np.array([fa.index(i) for i in ia]),
-                             fb, np.array([fb.index(j) for j in ib]),
-                             np.array(Lt), np.array(Rt)))
-            plan = self._plan_cache[key] = tuple(plan)
+                        groups.setdefault((L.shape, R.shape), []).append((c, a, b, L, R))
+            plan = self._plan_cache[key] = _BracketPlan(groups)
         return plan
 
-    def bracket_gradients(self, gradF: dict, gradG: dict,
-                          with_mass: bool = False):
-        """Contract two gradient dictionaries against the pair table of their keys.
+    def bracket_gradients(self, gradF, gradG, with_mass: bool = False):
+        """Contract two gradients against the pair table of their keys.
 
         {F, G} = sum over key pairs and tensor terms of
         coeff * tr(D_F[a] . L^T . D_G[b] . R^T).  The keys are base
         generators, or any letters for the word route.
 
-        The terms come from _bracket_plan, built once per pair of key
-        sequences: per (L, R) shape group the gradient blocks are gathered by
-        term and every term of the group is evaluated in one batched pass,
-        tr((D_F[a] L^T)(D_G[b] R^T)).
+        By cyclicity each term is tr(A_t B_t), with the F half
+        A_t = coeff R^T D_F[a] and the G half B_t = L^T D_G[b].  The plan,
+        built once per pair of key sequences, stacks the terms' words, so a
+        side's halves for every term are one batched matmul per block-shape
+        group (_BracketPlan.half).  A Gradient memoises the last half it
+        formed, per (plan, side): over a family's all-pairs loop each member
+        forms its G half and its F half once, and each pair costs one
+        elementwise product of the two halves and the per-term sums.  Plain
+        dicts are wrapped per call, so nothing is memoised for them.
 
         With with_mass=True also returns the pre-cancellation term mass
         (sum of absolute term values, taken term by term), the natural scale
         for involutivity residuals.
         """
-        F, G = list(gradF.values()), list(gradG.values())
-        parts = [np.zeros(0, dtype=complex)]
-        for c, fa, ia, fb, ib, Lt, Rt in self._bracket_plan(tuple(gradF), tuple(gradG)):
-            Da = np.array([F[i] for i in fa]).take(ia, axis=0)
-            Db = np.array([G[j] for j in fb]).take(ib, axis=0)
-            parts.append(c * np.einsum("tij,tji->t", Da @ Lt, Db @ Rt))
-        terms = np.concatenate(parts)
+        F = gradF if isinstance(gradF, Gradient) else Gradient._wrap(gradF)
+        G = gradG if isinstance(gradG, Gradient) else Gradient._wrap(gradG)
+        plan = self._bracket_plan(tuple(F._blocks), tuple(G._blocks))
+        if plan.starts is None:
+            terms = np.zeros(0, dtype=complex)
+        else:
+            terms = np.add.reduceat(F._half(plan, 0) * G._half(plan, 1), plan.starts)
         total = complex(terms.sum())
         if with_mass:
             return total, float(np.abs(terms).sum())

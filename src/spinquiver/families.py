@@ -12,7 +12,8 @@ locus they reduce to the spin RS families G, H, F in the quadruple
 (A, B, bigA, bigC), which is what the independence counts and the
 spectral-curve constraints are computed from.  The family,
 power-trace and qu gradients hand their x, y and z letter blocks to
-PointEngine.letter_gradients, where the chain rule for z = y + x^(-1) lives.
+PointEngine.letter_gradients, where the chain rule for z = y + x^(-1) lives,
+and come back as immutable engine.Gradient maps.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .brackets import phi_localized_word, phi_word_terms
 from .cyclic import CycleMatrix
-from .engine import PointEngine
+from .engine import Gradient, PointEngine
 from .errors import IllConditioned, SingularFactor
 from .params import ParameterSet
 from .points import (LocalCoordinates, RepPoint, ReducedQuadruple, quadruple_from_coordinates,
@@ -101,11 +102,10 @@ def family_value(point: RepPoint, family: int, j: int, eta: complex) -> complex:
     return ((1 + eta * T) @ U).power(j).trace()
 
 
-def family_gradients(eng: PointEngine, family: int, j: int, eta: complex) -> dict:
+def family_gradients(eng: PointEngine, family: int, j: int, eta: complex) -> Gradient:
     """Matrix gradients of the family value over the base generators x_s, y_s.
 
-    Returned as the D-dictionary of letter blocks consumed by
-    PointEngine.bracket_gradients.
+    Returned as the engine.Gradient consumed by PointEngine.bracket_gradients.
     """
     Theta, T, U = _family_factors(eng.point, family)
     X, Y = _u_cycle(eng.point, "x"), _u_cycle(eng.point, "y")
@@ -120,11 +120,11 @@ def family_gradients(eng: PointEngine, family: int, j: int, eta: complex) -> dic
     qs = {"x": Y @ Winv @ S - Winv @ S @ Theta @ Y, "y": Winv @ S @ X - X @ Winv @ S @ Theta}
     for kind, Q in _u_chain(eng.point, _FAMILY_U[family], P @ damp).items():
         qs[kind] = qs[kind] + Q if kind in qs else Q
-    return _cycle_grads(eng, qs)
+    return eng.letter_gradients(_cycle_pairs(eng, qs))
 
 
-def _cycle_grads(eng: PointEngine, qs: dict) -> dict:
-    """Gradient blocks over the base generators from {letter kind: (dF/d cycle matrix)^T}.
+def _cycle_pairs(eng: PointEngine, qs: dict) -> list:
+    """(letter, Q) pairs for PointEngine.letter_gradients from {kind: (dF/d cycle matrix)^T}.
 
     The letter (kind, s) from tail to head reads Q's block from head to tail;
     a Q of another degree has no block there and contributes nothing.
@@ -138,7 +138,7 @@ def _cycle_grads(eng: PointEngine, qs: dict) -> dict:
             block = Q.block(head, tail)
             if block is not None:
                 pairs.append(((kind, s), block))
-    return eng.letter_gradients(pairs)
+    return pairs
 
 
 def family_poly(point: RepPoint, family: int, j: int,
@@ -517,7 +517,9 @@ def _decide_rank(jac: np.ndarray, sv_tol: float, gap_factor: float,
             raise IllConditioned(f"singular-value gap at the rank cut is {ratio:.3g}x, "
                                  f"below the required {gap_factor:g}x")
         if noise_floor is not None and svals[rank] > noise_floor * svals[0]:
-            raise IllConditioned("sub-threshold singular values above the noise floor")
+            raise IllConditioned(f"largest sub-threshold singular value is "
+                                 f"{svals[rank] / svals[0]:.3g} of the largest, "
+                                 f"above the noise floor {noise_floor:g}")
     return rank, svals
 
 
@@ -534,8 +536,8 @@ def qu_generator(point: RepPoint, alpha: int, beta: int, ell: int, U: str,
 
 
 def qu_gradients(point: RepPoint, alpha: int, beta: int, ell: int, U: str,
-                 engine: PointEngine | None = None) -> dict:
-    """Gradient dictionary of tr(W_alpha V_beta U^(l m)) over the base generators."""
+                 engine: PointEngine | None = None) -> Gradient:
+    """Gradient of tr(W_alpha V_beta U^(l m)) over the base generators."""
     eng = engine or PointEngine(point)
     m, n = eng.m, eng.n
     W, V = eng.letter_block(("w", alpha)), eng.letter_block(("v", beta))
@@ -546,18 +548,16 @@ def qu_gradients(point: RepPoint, alpha: int, beta: int, ell: int, U: str,
     Q_U = CycleMatrix((K - 1) * Uc.deg, np.zeros_like(Uc.blocks))
     for p in range(K):
         Q_U = Q_U + Uc.power(K - 1 - p) @ WV @ Uc.power(p)
-    grads = _cycle_grads(eng, _u_chain(point, U, Q_U))
-    grads[("w", alpha)] = (V @ UK00).T
-    grads[("v", beta)] = (UK00 @ W).T
-    return grads
+    return eng.letter_gradients(_cycle_pairs(eng, _u_chain(point, U, Q_U))
+                                + [(("w", alpha), V @ UK00), (("v", beta), UK00 @ W)])
 
 
 def power_trace_gradients(point: RepPoint, U: str, K: int,
-                          engine: PointEngine | None = None) -> dict:
-    """Gradient dictionary of tr U^K for U in {x, y, z, t=1+xy} cycle matrices."""
+                          engine: PointEngine | None = None) -> Gradient:
+    """Gradient of tr U^K for U in {x, y, z, t=1+xy} cycle matrices."""
     eng = engine or PointEngine(point)
     Q_U = K * _u_cycle(point, U).power(K - 1)
-    return _cycle_grads(eng, _u_chain(point, U, Q_U))
+    return eng.letter_gradients(_cycle_pairs(eng, _u_chain(point, U, Q_U)))
 
 
 def _u_chain(point: RepPoint, U: str, Q_U: CycleMatrix) -> dict:
@@ -579,7 +579,7 @@ def cy2_rank(point: RepPoint, U: str, sv_tol: float = 1e-7,
              gap_factor: float = 10.0, engine: PointEngine | None = None):
     """Rank of the 2n functions tr U^(jm), tr(W_1 V_1 U^(jm)) on matrix entries.
 
-    Uses the exact gradient dictionaries as Jacobian rows.  Returns
+    Uses the exact gradients as Jacobian rows.  Returns
     (rank, singular_values); complains via IllConditioned on a weak gap.
     """
     eng = engine or PointEngine(point)

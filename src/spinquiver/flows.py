@@ -386,29 +386,6 @@ def _plan(hamiltonian: str, k: int, m: int, n: int, eta_is_zero: bool) -> _Plan:
     return _Plan(trace, vf(X, M, k, 0 if eta_is_zero else _Eta()), m, n)
 
 
-def _field(hamiltonian: str, X: CycleMatrix, M: CycleMatrix, k: int, eta):
-    """(dX, dM) of one field on CycleMatrix states, evaluated through its plan."""
-    m, n = X.blocks.shape[:2]
-    plan = _plan(hamiltonian, k, m, n, eta == 0)
-    ws = plan.workspace()
-    ws[0][0], ws[0][1] = X.blocks, M.blocks
-    out = np.empty((2, m, n, n), dtype=complex)
-    plan.run(ws, eta, out)
-    return CycleMatrix(plan.degrees[0], out[0]), CycleMatrix(plan.degrees[1], out[1])
-
-
-def _vf_Z(X, Z, k, eta):
-    return _field("trZ", X, Z, k, eta)
-
-
-def _vf_Y(X, Y, k, eta):
-    return _field("trY", X, Y, k, eta)
-
-
-def _vf_T(X, U, k, eta):
-    return _field("trT", X, U, k, eta)
-
-
 @dataclass
 class Trajectory:
     """Sampled oracle trajectory; points indexed in step order."""

@@ -1,4 +1,4 @@
-"""JSON serialization of parameters, points, coordinates, and reports.
+"""JSON serialization of points, coordinates, and reports.
 
 Complex numbers are always two-element arrays [re, im]; matrices are
 row-major nested lists.  File writes are atomic (write-temp-rename).
@@ -31,17 +31,6 @@ def encode_matrix(mat) -> list:
 
 def decode_matrix(rows) -> np.ndarray:
     return np.array([[decode_complex(z) for z in row] for row in rows], dtype=complex)
-
-
-def params_to_dict(spec: ModelSpec, params: ParameterSet) -> dict:
-    return {"m": spec.m, "d": spec.d, "n": spec.n,
-            "q": [encode_complex(v) for v in params.q]}
-
-
-def params_from_dict(data: dict):
-    spec = ModelSpec(m=int(data["m"]), d=int(data["d"]), n=int(data["n"]))
-    params = derive_params([decode_complex(v) for v in data["q"]], spec.n)
-    return spec, params
 
 
 def point_to_dict(point: RepPoint, params: ParameterSet) -> dict:

@@ -155,6 +155,30 @@ def trace_bracket_words_loop(eng, w1, w2):
     return complex(total), float(mass)
 
 
+# -- the oracle's fields on CycleMatrix states, through flows' traced plans -------
+
+def oracle_field(hamiltonian, X, M, k, eta):
+    """(dX, dM) of one field on CycleMatrix states, evaluated through its plan."""
+    m, n = X.blocks.shape[:2]
+    plan = flows._plan(hamiltonian, k, m, n, eta == 0)
+    ws = plan.workspace()
+    ws[0][0], ws[0][1] = X.blocks, M.blocks
+    out = np.empty((2, m, n, n), dtype=complex)
+    plan.run(ws, eta, out)
+    return CycleMatrix(plan.degrees[0], out[0]), CycleMatrix(plan.degrees[1], out[1])
+
+
+def vf_Z(X, Z, k, eta):
+    return oracle_field("trZ", X, Z, k, eta)
+
+
+def vf_Y(X, Y, k, eta):
+    return oracle_field("trY", X, Y, k, eta)
+
+
+def vf_T(X, U, k, eta):
+    return oracle_field("trT", X, U, k, eta)
+
 
 # -- reference for flows.ode_oracle: the per-stage CycleMatrix RK4 loop ----------
 

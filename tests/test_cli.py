@@ -1,6 +1,7 @@
 """End-to-end CLI checks: exit codes, file schemas, determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -285,3 +286,33 @@ def test_oracle_overflow_emits_no_runtime_warning(tmp_path, capsys):
     assert code == 1
     assert "error: oracle singular at step 11" in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("spec, seed, family", [("2,2,3", 3, 4), ("3,3,6", 1, 2), ("3,3,6", 1, 4)])
+def test_commute_magnitudes_match_the_per_term_loop(tmp_path, spec, seed, family):
+    # the CLI's all-pairs loop reads memoised gradient halves; the loop reads none
+    from spinquiver import PointEngine, family_gradients
+    from conftest import bracket_gradients_loop
+    point_file, out = str(tmp_path / "pt.json"), str(tmp_path / "commute.json")
+    assert run(["gen", "--spec", spec, "--seed", str(seed), "--out", point_file]) == 0
+    assert run(["commute", "--spec", spec, "--seed", str(seed), "--family", str(family),
+                "--out", out]) == 0
+    point, params = sqio.point_from_dict(sqio.read_json(point_file))
+    data = sqio.read_json(out)
+    members = [(j, sqio.decode_complex(eta)) for j, eta in data["members"]]
+    mags = np.array(data["bracket_magnitudes"])
+    eng = PointEngine(point, params)
+    grads = [family_gradients(eng, family, j, eta) for j, eta in members]
+    for i in range(len(members)):
+        for k in range(i + 1, len(members)):
+            val, mass = bracket_gradients_loop(eng, dict(grads[i]), dict(grads[k]))
+            assert mass > 0.0
+            assert abs(mags[i, k] - abs(val)) <= 1e-15 * mass
+            assert mags[k, i] == mags[i, k]
+
+
+def test_rank_noise_floor_error_states_ratio_and_floor(capsys):
+    assert run(["rank", "--spec", "4,3,6", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"^error: largest sub-threshold singular value is [0-9.e+-]+ of the "
+                     r"largest, above the noise floor 1e-11$", err, re.M), err

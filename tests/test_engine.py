@@ -1,13 +1,16 @@
 """Bracket-engine checks: table consistency, Leibniz structure, trace identities."""
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
-from spinquiver import (PointEngine, cycle_power_sum, family_gradients,
+from spinquiver import (Gradient, PointEngine, cycle_power_sum, family_gradients,
                         power_trace_gradients, qu_gradients, spin_trace_word)
 from spinquiver.brackets import (double_bracket, generator_bracket, ordering_sign,
                                  phi_localized_terms, phi_word_terms,
                                  trace_bracket_symbolic)
+from spinquiver.engine import _BracketPlan
 from spinquiver.errors import UnknownPair
 from spinquiver.words import (WordSum, cprime_word_terms, is_closed, letter_tail_head,
                               u_power_word, word_tail_head, x_power_word)
@@ -354,7 +357,8 @@ def test_bracket_gradients_empty_side():
     point, spec, params = make_point(2, 2, 2, seed=3)
     eng = PointEngine(point, params)
     g = family_gradients(eng, 4, 2, 0.37 - 0.21j)
-    for gF, gG in (({}, g), (g, {}), ({}, {})):
+    for gF, gG in (({}, g), (g, {}), ({}, {}), (Gradient(), g), (g, Gradient()),
+                   (Gradient(), {})):
         val, mass = eng.bracket_gradients(gF, gG, with_mass=True)
         assert (val, mass) == (0j, 0.0)
         assert isinstance(val, complex) and isinstance(mass, float)
@@ -387,16 +391,121 @@ def test_bracket_gradients_key_order(m, d, n, seed, rng):
     g2 = family_gradients(eng, 4, m, 0.37 - 0.21j)
     val, mass = eng.bracket_gradients(g1, g2, with_mass=True)
 
-    def permuted(g):
+    def permuted(g, kind):
         keys = list(g)
-        return {keys[i]: g[keys[i]] for i in rng.permutation(len(keys))}
+        return kind({keys[i]: g[keys[i]] for i in rng.permutation(len(keys))})
 
     for _ in range(3):
-        p1, p2 = permuted(g1), permuted(g2)
-        assert_matches_loop(eng, p1, p2)
-        pval, pmass = eng.bracket_gradients(p1, p2, with_mass=True)
-        assert abs(pval - val) <= 1e-15 * mass
-        assert abs(pmass - mass) <= 1e-15 * mass
+        for kind in (dict, Gradient):   # a Gradient is read again from its memo
+            p1, p2 = permuted(g1, kind), permuted(g2, kind)
+            assert_matches_loop(eng, p1, p2)
+            pval, pmass = eng.bracket_gradients(p1, p2, with_mass=True)
+            assert abs(pval - val) <= 1e-15 * mass
+            assert abs(pmass - mass) <= 1e-15 * mass
+
+
+# -- Gradient: immutable blocks and memoised contraction halves ---------------
+
+def _members(eng, fam, m):
+    """A family's gradients at two spectral parameters, as cmd_commute draws them."""
+    js = (1, 2) if fam == 2 else (m, 2 * m)
+    return [family_gradients(eng, fam, j, eta) for j in js for eta in (0.37 - 0.21j, -0.4 + 0.6j)]
+
+
+def test_gradient_is_an_immutable_mapping():
+    point, spec, params = make_point(2, 2, 2, seed=3)
+    eng = PointEngine(point, params)
+    g = family_gradients(eng, 4, 2, 0.37 - 0.21j)
+    assert isinstance(g, Gradient) and isinstance(g, Mapping)
+    assert list(g) == [("x", 0), ("y", 0), ("x", 1), ("y", 1)]
+    assert len(g) == 4 and ("x", 0) in g and ("v", 1) not in g
+    for D in g.values():
+        with pytest.raises(ValueError):
+            D[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        g[("x", 0)] = np.zeros((2, 2))
+    for grad in (eng.grad_trace_wordsum(spin_trace_word(1, 2, 3, 2)),
+                 qu_gradients(point, 1, 2, 1, "z", engine=eng),
+                 power_trace_gradients(point, "t", 2, engine=eng)):
+        assert isinstance(grad, Gradient)
+        assert not any(D.flags.writeable for D in grad.values())
+
+
+def test_gradient_constructor_copies_its_blocks():
+    point, spec, params = make_point(2, 2, 2, seed=3)
+    eng = PointEngine(point, params)
+    g1 = family_gradients(eng, 4, 2, 0.37 - 0.21j)
+    g2 = family_gradients(eng, 3, 4, 0.37 - 0.21j)
+    blocks = {k: np.array(D) for k, D in g1.items()}
+    own = Gradient(blocks)
+    val = eng.bracket_gradients(own, g2)
+    assert val == eng.bracket_gradients(g1, g2)
+    for D in blocks.values():
+        D *= 2.0
+    assert all(np.array_equal(own[k], g1[k]) and not own[k].flags.writeable for k in g1)
+    assert eng.bracket_gradients(own, g2) == val
+    assert eng.bracket_gradients(Gradient(blocks), g2) != val
+
+
+@pytest.mark.parametrize("m,d,n,seed", [(2, 2, 2, 3), (3, 3, 6, 1)])
+def test_memoised_halves_match_loop_over_all_pairs(m, d, n, seed):
+    # the all-pairs loop of cmd_commute and the benchmark, then the lower
+    # triangle, which makes every member change sides between calls
+    point, spec, params = make_point(m, d, n, seed)
+    eng = PointEngine(point, params)
+    for fam in (1, 2, 3, 4):
+        grads = _members(eng, fam, m)
+        pairs = [(a, b) for a in range(len(grads)) for b in range(a + 1, len(grads))]
+        for a, b in pairs + [(b, a) for a, b in pairs]:
+            assert_matches_loop(eng, grads[a], grads[b])
+            fresh = eng.bracket_gradients(dict(grads[a]), dict(grads[b]), with_mass=True)
+            assert eng.bracket_gradients(grads[a], grads[b], with_mass=True) == fresh
+
+
+def test_all_pairs_loop_forms_two_halves_per_member(monkeypatch):
+    point, spec, params = make_point(3, 3, 6, 1)
+    eng = PointEngine(point, params)
+    grads = [g for fam in (1, 3, 4) for g in _members(eng, fam, 3)]
+    formed = []
+    half = _BracketPlan.half
+    monkeypatch.setattr(_BracketPlan, "half",
+                        lambda plan, side, blocks: formed.append(side) or half(plan, side, blocks))
+    for a in range(len(grads)):
+        for b in range(a + 1, len(grads)):
+            eng.bracket_gradients(grads[a], grads[b], with_mass=True)
+    assert formed.count(0) == formed.count(1) == len(grads) - 1
+
+
+@pytest.mark.parametrize("m,d,n,seed", [(2, 2, 2, 3), (3, 3, 6, 1)])
+def test_gradient_as_both_sides(m, d, n, seed):
+    # the benchmark's warm-up brackets one gradient with itself
+    point, spec, params = make_point(m, d, n, seed)
+    eng = PointEngine(point, params)
+    g = family_gradients(eng, 4, m, 0.3 + 0.1j)
+    h = family_gradients(eng, 4, 2 * m, 0.3 + 0.1j)
+    for gF, gG in ((g, g), (g, h), (g, g), (h, g), (g, g)):
+        assert_matches_loop(eng, gF, gG)
+
+
+def test_gradient_halves_stay_with_their_engine():
+    # one Gradient bracketed at two points: equal key sets, distinct plans
+    point, spec, params = make_point(3, 3, 6, 1)
+    other, _, _ = make_point(3, 3, 6, 2)
+    engines = [PointEngine(point, params), PointEngine(other, params)]
+    g = family_gradients(engines[0], 4, 3, 0.37 - 0.21j)
+    partners = [family_gradients(e, 4, 6, 0.37 - 0.21j) for e in engines]
+    assert tuple(partners[0]) == tuple(partners[1]) == tuple(g)
+    values = set()
+    for side in (0, 1):
+        # g stays on one side while the engine alternates
+        for i in (0, 1, 0, 1):
+            eng, h = engines[i], partners[i]
+            gF, gG = (g, h) if side == 0 else (h, g)
+            val = eng.bracket_gradients(gF, gG)
+            assert val == eng.bracket_gradients(dict(gF), dict(gG))
+            assert_matches_loop(eng, gF, gG)
+            values.add(val)
+    assert len(values) == 4
 
 
 def test_leibniz_on_matrices():

@@ -18,7 +18,7 @@ from spinquiver.cyclic import CycleMatrix
 from spinquiver.errors import SingularFactor
 from spinquiver.flows import closed_form_flow, conservation_report, expm
 
-from conftest import dense_cycle, ode_oracle_loop, tame_point
+from conftest import dense_cycle, ode_oracle_loop, tame_point, vf_T, vf_Y, vf_Z
 
 TAME_Q = {2: [1.1 + 0.1j, 0.8 - 0.2j]}
 
@@ -265,9 +265,9 @@ def _ref_vf_T(Xt, Ut, k, eta):
 # (field, graded reference, dense reference, degree of the second state,
 #  the dense matrices whose inverses the field takes)
 FIELDS = [
-    (flows._vf_Z, _graded_vf_Z, _ref_vf_Z, -1, lambda X, M: [M @ X]),
-    (flows._vf_Y, _graded_vf_Y, _ref_vf_Y, -1, lambda X, M: [np.eye(len(X)) + M @ X]),
-    (flows._vf_T, _graded_vf_T, _ref_vf_T, 0, lambda X, M: [X, M]),
+    (vf_Z, _graded_vf_Z, _ref_vf_Z, -1, lambda X, M: [M @ X]),
+    (vf_Y, _graded_vf_Y, _ref_vf_Y, -1, lambda X, M: [np.eye(len(X)) + M @ X]),
+    (vf_T, _graded_vf_T, _ref_vf_T, 0, lambda X, M: [X, M]),
 ]
 ETAS = [0.0, 0.3 - 0.2j, 1.5j, -0.7]
 SHAPES = {3: (1, 3), 6: (2, 3), 12: (4, 3), 18: (3, 6)}    # N = m n: (m, n)
@@ -281,7 +281,7 @@ def _graded(rng, m, n, deg):
 
 def _powers(field, m):
     """The powers k the oracle runs a field at: trZ and trY flows need m | k."""
-    return (1, 2, 3, 4) if field is flows._vf_T else (m, 2 * m)
+    return (1, 2, 3, 4) if field is vf_T else (m, 2 * m)
 
 
 def _dense(a):
@@ -324,8 +324,8 @@ def test_vector_fields_take_the_domain_inverse_at_every_eta(rng):
     X, M, U = _graded(rng, m, n, 1), _graded(rng, m, n, -1), _graded(rng, m, n, 0)
     zero = lambda deg: CycleMatrix(deg, np.zeros((m, n, n), dtype=complex))
     eye = lambda deg: CycleMatrix(deg, np.broadcast_to(np.eye(n), (m, n, n)))
-    cases = [(flows._vf_Z, zero(1), M), (flows._vf_Y, eye(1), -eye(-1)),
-             (flows._vf_T, zero(1), U), (flows._vf_T, X, zero(0))]
+    cases = [(vf_Z, zero(1), M), (vf_Y, eye(1), -eye(-1)),
+             (vf_T, zero(1), U), (vf_T, X, zero(0))]
     for field, A, B in cases:
         for eta in ETAS:
             with pytest.raises(np.linalg.LinAlgError):
