@@ -10,7 +10,9 @@ map.  Each cycle matrix is homogeneous in the cyclic grading and is computed
 as a cyclic.CycleMatrix, one n x n block per vertex.  On the X-invertible
 locus they reduce to the spin RS families G, H, F in the quadruple
 (A, B, bigA, bigC), which is what the independence counts and the
-spectral-curve constraints are computed from.  The family,
+spectral-curve constraints are computed from.  Every member is tr M(eta)^j
+of a pencil M0 + eta M1 and is expanded in eta exactly (_pencil_powers);
+only the spectral-curve determinant is interpolated.  The family,
 power-trace and qu gradients hand their x, y and z letter blocks to
 PointEngine.letter_gradients, where the chain rule for z = y + x^(-1) lives,
 and come back as immutable engine.Gradient maps.
@@ -19,6 +21,7 @@ and come back as immutable engine.Gradient maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -141,80 +144,109 @@ def _cycle_pairs(eng: PointEngine, qs: dict) -> list:
     return pairs
 
 
-def family_poly(point: RepPoint, family: int, j: int,
-                solve_tol: float = 1e-8) -> EtaPolynomial:
-    """Expand the family value in the spectral parameter by interpolation.
+def family_poly(point: RepPoint, family: int, j: int) -> EtaPolynomial:
+    """Expand the family value exactly in the spectral parameter.
 
-    Samples at the (j+1)-st roots of unity and solves the Vandermonde system;
-    raises IllConditioned when the solve does not reproduce the samples.
+    The family matrix is the pencil (1 + eta T) U = U + eta T U (_pencil_powers).
     """
     _, T, U = _family_factors(point, family)
-    return _interp_poly(lambda eta: ((1 + eta * T) @ U).power(j).trace(), j, solve_tol)
+    return _pencil_poly(U, T @ U, j)
 
 
-def _interp_poly(fn, degree: int, solve_tol: float = 1e-8) -> EtaPolynomial:
-    nodes = np.exp(2j * np.pi * np.arange(degree + 1) / (degree + 1))
-    vals = np.array([fn(z) for z in nodes])
-    vander = np.vander(nodes, degree + 1, increasing=True)
-    coeffs = np.linalg.solve(vander, vals)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.max(np.abs(vander @ coeffs - vals)) > solve_tol * scale:
-        raise IllConditioned("spectral-parameter interpolation did not converge")
-    return EtaPolynomial(coeffs=tuple(coeffs))
+def _pencil_powers(M0, M1, j: int) -> list:
+    """Coefficient matrices of (M0 + eta M1)^k for k = 1..j; entry k - 1 lists eta^0..eta^k.
+
+    Each power steps from the last as P_l <- P_l M0 + P_(l-1) M1, which reads
+    alike on arrays and on cyclic.CycleMatrix.
+    """
+    if j < 1:
+        raise ValueError(f"pencil powers need j >= 1, got {j}")
+    powers = [[M0, M1]]
+    for _ in range(j - 1):
+        P = powers[-1]
+        powers.append([P[0] @ M0] + [P[l] @ M0 + P[l - 1] @ M1 for l in range(1, len(P))]
+                      + [P[-1] @ M1])
+    return powers
+
+
+def _pencil_poly(M0, M1, j: int) -> EtaPolynomial:
+    """tr (M0 + eta M1)^j as a polynomial in eta."""
+    return EtaPolynomial(coeffs=tuple(complex(P.trace()) for P in _pencil_powers(M0, M1, j)[-1]))
 
 
 # -- reduced closed forms ----------------------------------------------------
 
+def _inverse(mat: np.ndarray, name: str) -> np.ndarray:
+    try:
+        return np.linalg.inv(mat)
+    except np.linalg.LinAlgError as exc:
+        raise SingularFactor(f"the reduced families need an invertible {name}") from exc
+
+
+def _reduced_pencil(kind: str, quad: ReducedQuadruple, params: ParameterSet):
+    """G's or H's matrix M(eta) = M0 + eta M1 at a quadruple, as the terms of M0 and of M1.
+
+        G:  M0 = A^(-1) B^m / t      M1 = A^(-1) (B + S) B^(m-1)
+        H:  M0 = P(B) A^(-1)         M1 = q_0 (1 + S B^(-1)) P(B) A^(-1)
+
+    with P(B) = (B - 1/t_(m-1)) ... (B - 1/t_0) and S = bigA bigC.  A term
+    (c, factors) is c times the product of its factors, each a (variable,
+    matrix) pair naming what the matrix varies as: "Ainv", "B" (B - c Id
+    too), "Binv" or "S".  _pencil_matrix evaluates the terms and
+    _pencil_links differentiates them.
+    """
+    m = params.m
+    Ainv, B, S = _inverse(quad.A, "A"), quad.B, quad.bigA @ quad.bigC
+    if kind == "G":
+        Bm = [("B", B)] * m
+        return ([(1.0 / params.t, [("Ainv", Ainv)] + Bm)],
+                [(1.0, [("Ainv", Ainv)] + Bm), (1.0, [("Ainv", Ainv), ("S", S)] + Bm[1:])])
+    if kind == "H":
+        eye = np.eye(len(B))
+        right = [("B", B - eye / params.t_at(s)) for s in range(m - 1, -1, -1)]
+        right.append(("Ainv", Ainv))
+        q0 = params.q[0]
+        return ([(1.0, right)],
+                [(q0, right), (q0, [("S", S), ("Binv", _inverse(B, "B"))] + right)])
+    raise ValueError(f"unknown reduced family {kind!r}")
+
+
+def _pencil_matrix(terms: list) -> np.ndarray:
+    """The sum of the terms' coefficient-weighted factor products."""
+    return sum(c * reduce(np.matmul, [mat for _, mat in factors]) for c, factors in terms)
+
+
+def _f_pencil(point: RepPoint):
+    """(M0, M1) of F: the degree-0 cycle matrices of the blocks X_s Z_s and Z_s X_s."""
+    X, Z = np.stack(point.X), np.stack(point.require_Z())
+    return CycleMatrix(0, X @ Z), CycleMatrix(0, Z @ X)
+
+
 def reduced_G(quad: ReducedQuadruple, params: ParameterSet, j: int,
               eta_prime: complex) -> complex:
     """tr [ A^(-1)((t^(-1) + eta') B + eta' S) B^(m-1) ]^j."""
-    t = params.t
-    m = params.m
-    S = quad.bigA @ quad.bigC
-    Ainv = np.linalg.inv(quad.A)
-    core = Ainv @ ((1.0 / t + eta_prime) * quad.B + eta_prime * S)
-    M = core @ np.linalg.matrix_power(quad.B, m - 1)
-    return complex(np.trace(np.linalg.matrix_power(M, j)))
+    M0, M1 = map(_pencil_matrix, _reduced_pencil("G", quad, params))
+    return complex(np.trace(np.linalg.matrix_power(M0 + eta_prime * M1, j)))
 
 
 def reduced_H(quad: ReducedQuadruple, params: ParameterSet, j: int,
               eta: complex) -> complex:
     """tr [ ((1 + eta q_0) + eta q_0 S B^(-1)) P(B) A^(-1) ]^j with P the t_s-root polynomial."""
-    m = params.m
-    n = quad.A.shape[0]
-    S = quad.bigA @ quad.bigC
-    try:
-        Binv = np.linalg.inv(quad.B)
-        Ainv = np.linalg.inv(quad.A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFactor("reduced H needs invertible A and B") from exc
-    PB = np.eye(n, dtype=complex)
-    for s in range(m - 1, -1, -1):
-        PB = PB @ (quad.B - np.eye(n) / params.t_at(s))
-    q0 = params.q[0]
-    M = ((1.0 + eta * q0) * np.eye(n) + eta * q0 * (S @ Binv)) @ PB @ Ainv
-    return complex(np.trace(np.linalg.matrix_power(M, j)))
+    M0, M1 = map(_pencil_matrix, _reduced_pencil("H", quad, params))
+    return complex(np.trace(np.linalg.matrix_power(M0 + eta * M1, j)))
 
 
 def reduced_F(point: RepPoint, j: int, eta: complex) -> complex:
     """Blockwise sum_s tr (X_s Z_s + eta Z_s X_s)^j."""
-    Z = point.require_Z()
-    total = 0.0 + 0.0j
-    for s in range(point.spec.m):
-        M = point.X[s] @ Z[s] + eta * (Z[s] @ point.X[s])
-        total += np.trace(np.linalg.matrix_power(M, j))
-    return complex(total)
+    M0, M1 = _f_pencil(point)
+    return (M0 + eta * M1).power(j).trace()
 
 
 def reduced_poly(kind: str, quad_or_point, params: ParameterSet, j: int) -> EtaPolynomial:
-    """Eta-expansion of a reduced family member (kind in G, H, F)."""
-    if kind == "G":
-        return _interp_poly(lambda e: reduced_G(quad_or_point, params, j, e), j)
-    if kind == "H":
-        return _interp_poly(lambda e: reduced_H(quad_or_point, params, j, e), j)
+    """Exact eta-expansion of a reduced family member: G, H at a quadruple, F at a point."""
     if kind == "F":
-        return _interp_poly(lambda e: reduced_F(quad_or_point, j, e), j)
-    raise ValueError(f"unknown reduced family {kind!r}")
+        return _pencil_poly(*_f_pencil(quad_or_point), j)
+    return _pencil_poly(*map(_pencil_matrix, _reduced_pencil(kind, quad_or_point, params)), j)
 
 
 def big_K_constant(params: ParameterSet, eta: complex) -> complex:
@@ -261,7 +293,7 @@ def spectral_coeffs(quad: ReducedQuadruple, params: ParameterSet,
     coefficients over eta at roots of unity.
     """
     m = params.m
-    Ainv = np.linalg.inv(quad.A)
+    Ainv = _inverse(quad.A, "A")
     S = quad.bigA @ quad.bigC
     C = Ainv @ np.linalg.matrix_power(quad.B, m)
     T = S @ np.linalg.matrix_power(quad.B, m - 1) @ Ainv
@@ -329,61 +361,25 @@ def _coefficient_functions(coords: LocalCoordinates, family: str,
 # avoid the finite-difference noise floor that otherwise masks the smallest
 # genuine singular values of the coefficient Jacobian
 
-def _reduced_adjoints(kind: str, coords: LocalCoordinates, params: ParameterSet,
-                      j: int, eta: complex):
-    """Value and adjoints (AdjB, AdjS, AdjAinvDiag) of one reduced family member.
+def _pencil_links(terms: list) -> list:
+    """(variable, c, left, right) with d tr(Q M) = sum c tr(left Q right d variable).
 
-    Conventions: dF = sum_ij AdjB[i,j] dB[i,j] + sum_ij AdjS[i,j] dS[i,j]
-    + sum_i AdjAinvDiag[i] d(1/x_i).
+    M is the sum of the terms (see _reduced_pencil), so a factor F_i of a term
+    c F_1 ... F_k links with left = F_(i+1) ... F_k and right = F_1 ... F_(i-1).
+    A "Binv" factor links to B through dB^(-1) = -B^(-1) dB B^(-1).
     """
-    t = params.t
-    m = params.m
-    n = coords.n
-    x = coords.x
-    f = coords.f_matrix()
-    denom = x[:, None] - t * x[None, :]
-    B = t * f * (x[None, :] / denom)
-    S = f
-    Ainv = np.diag(1.0 / x)
-    eye = np.eye(n)
-    if kind == "G":
-        core = (1.0 / t + eta) * B + eta * S
-        Bm1 = np.linalg.matrix_power(B, m - 1)
-        M = Ainv @ core @ Bm1
-        P = j * np.linalg.matrix_power(M, j - 1)
-        value = complex(np.trace(np.linalg.matrix_power(M, j)))
-        QB = (1.0 / t + eta) * (Bm1 @ P @ Ainv)
-        for p in range(m - 1):
-            QB += (np.linalg.matrix_power(B, m - 2 - p) @ P @ Ainv @ core
-                   @ np.linalg.matrix_power(B, p))
-        QS = eta * (Bm1 @ P @ Ainv)
-        QAi = core @ Bm1 @ P
-        return value, QB.T, QS.T, np.diag(QAi.T)
-    if kind == "H":
-        q0 = params.q[0]
-        Binv = np.linalg.inv(B)
-        factors = [B - eye / params.t_at(s) for s in range(m)]
-        PB = eye.copy()
-        for s in range(m - 1, -1, -1):
-            PB = PB @ factors[s]
-        Lfac = (1.0 + eta * q0) * eye + eta * q0 * (S @ Binv)
-        M = Lfac @ PB @ Ainv
-        P = j * np.linalg.matrix_power(M, j - 1)
-        value = complex(np.trace(np.linalg.matrix_power(M, j)))
-        QS = eta * q0 * (Binv @ PB @ Ainv @ P)
-        QB = -eta * q0 * (Binv @ PB @ Ainv @ P @ S @ Binv)
-        # product-rule over the commuting factors (B - t_s^(-1))
-        for s in range(m - 1, -1, -1):
-            left = eye.copy()
-            for sp in range(m - 1, s, -1):
-                left = left @ factors[sp]
-            right = eye.copy()
-            for sp in range(s - 1, -1, -1):
-                right = right @ factors[sp]
-            QB += right @ Ainv @ P @ Lfac @ left
-        QAi = P @ Lfac @ PB
-        return value, QB.T, QS.T, np.diag(QAi.T)
-    raise ValueError(f"analytic gradients only for G and H, not {kind!r}")
+    links = []
+    for c, factors in terms:
+        mats = [mat for _, mat in factors]
+        eye = np.eye(len(mats[0]))
+        for i, (var, mat) in enumerate(factors):
+            left = reduce(np.matmul, mats[i + 1:], eye)
+            right = reduce(np.matmul, mats[:i], eye)
+            if var == "Binv":
+                links.append(("B", -c, mat @ left, right @ mat))
+            else:
+                links.append((var, c, left, right))
+    return links
 
 
 def _grad_packed(coords: LocalCoordinates, params: ParameterSet,
@@ -422,28 +418,28 @@ def _grad_packed(coords: LocalCoordinates, params: ParameterSet,
 
 def coefficient_jacobian(coords: LocalCoordinates, family: str,
                          params: ParameterSet):
-    """Values and the analytic complex Jacobian of the coefficient family."""
+    """Values and the analytic complex Jacobian of the coefficient family.
+
+    A G or H member is tr M(eta)^j for the pencil M(eta) = M0 + eta M1 of
+    _reduced_pencil.  Its eta^l coefficient is tr P_l(j), P_l(k) being the
+    coefficient matrices of M(eta)^k, and the coefficient's differential is
+    j tr(P_l(j-1) dM0 + P_(l-1)(j-1) dM1), which _grad_packed pulls back to
+    the free coordinates.  Both are exact: nothing is sampled in eta.
+    """
     n, d = coords.n, coords.d
-    n_complex = n + n * (d - 1) + n * d
+    pencil = _reduced_pencil(family, quadruple_from_coordinates(coords, params), params)
+    powers = [[np.eye(n)]] + _pencil_powers(*map(_pencil_matrix, pencil), n)
+    links = [_pencil_links(terms) for terms in pencil]
     pairs = index_set(n, d)
-    values = np.zeros(len(pairs), dtype=complex)
-    jac = np.zeros((len(pairs), n_complex), dtype=complex)
-    row = 0
-    for j in range(1, n + 1):
-        nodes = np.exp(2j * np.pi * np.arange(j + 1) / (j + 1))
-        vander = np.vander(nodes, j + 1, increasing=True)
-        vals = np.zeros(j + 1, dtype=complex)
-        grads = np.zeros((j + 1, n_complex), dtype=complex)
-        for r, eta in enumerate(nodes):
-            value, AdjB, AdjS, AdjAi = _reduced_adjoints(family, coords, params, j, eta)
-            vals[r] = value
-            grads[r] = _grad_packed(coords, params, AdjB, AdjS, AdjAi)
-        coeff_vals = np.linalg.solve(vander, vals)
-        coeff_grads = np.linalg.solve(vander, grads)
-        for l in range(0, min(j - 1, d) + 1):
-            values[row] = coeff_vals[l]
-            jac[row] = coeff_grads[l]
-            row += 1
+    values = np.array([powers[j][l].trace() for j, l in pairs], dtype=complex)
+    jac = np.zeros((len(pairs), n + n * (d - 1) + n * d), dtype=complex)
+    for row, (j, l) in enumerate(pairs):
+        adj = {var: np.zeros((n, n), dtype=complex) for var in ("Ainv", "B", "S")}
+        for side in range(2 if l else 1):    # the dM1 term needs l >= 1
+            Q = j * powers[j - 1][l - side]
+            for var, c, left, right in links[side]:
+                adj[var] += c * (left @ Q @ right)
+        jac[row] = _grad_packed(coords, params, adj["B"].T, adj["S"].T, np.diag(adj["Ainv"]))
     return values, jac
 
 

@@ -4,6 +4,7 @@ import pytest
 from spinquiver import (LocalCoordinates, ModelSpec, derive_params,
                         point_from_coordinates, random_coordinates, random_point)
 from spinquiver import flows
+from spinquiver.families import _grad_packed, index_set
 from spinquiver.cyclic import CycleMatrix
 from spinquiver.engine import _as_wordsum
 from spinquiver.errors import Degenerate, SingularFactor, SingularX
@@ -226,3 +227,86 @@ def ode_oracle_loop(point, flow, field, samples=10):
                                      traj) from exc
             traj.append(step * h, sample)
     return traj
+
+
+# -- reference for families.coefficient_jacobian: root-of-unity interpolation -----
+
+def reduced_adjoints_at(kind, coords, params, j, eta):
+    """Value and adjoints (AdjB, AdjS, AdjAinvDiag) of one reduced family member at eta.
+
+    Conventions: dF = sum_ij AdjB[i,j] dB[i,j] + sum_ij AdjS[i,j] dS[i,j]
+    + sum_i AdjAinvDiag[i] d(1/x_i).
+    """
+    t = params.t
+    m = params.m
+    n = coords.n
+    x = coords.x
+    f = coords.f_matrix()
+    denom = x[:, None] - t * x[None, :]
+    B = t * f * (x[None, :] / denom)
+    S = f
+    Ainv = np.diag(1.0 / x)
+    eye = np.eye(n)
+    if kind == "G":
+        core = (1.0 / t + eta) * B + eta * S
+        Bm1 = np.linalg.matrix_power(B, m - 1)
+        M = Ainv @ core @ Bm1
+        P = j * np.linalg.matrix_power(M, j - 1)
+        value = complex(np.trace(np.linalg.matrix_power(M, j)))
+        QB = (1.0 / t + eta) * (Bm1 @ P @ Ainv)
+        for p in range(m - 1):
+            QB += (np.linalg.matrix_power(B, m - 2 - p) @ P @ Ainv @ core
+                   @ np.linalg.matrix_power(B, p))
+        QS = eta * (Bm1 @ P @ Ainv)
+        QAi = core @ Bm1 @ P
+        return value, QB.T, QS.T, np.diag(QAi.T)
+    q0 = params.q[0]
+    Binv = np.linalg.inv(B)
+    factors = [B - eye / params.t_at(s) for s in range(m)]
+    PB = eye.copy()
+    for s in range(m - 1, -1, -1):
+        PB = PB @ factors[s]
+    Lfac = (1.0 + eta * q0) * eye + eta * q0 * (S @ Binv)
+    M = Lfac @ PB @ Ainv
+    P = j * np.linalg.matrix_power(M, j - 1)
+    value = complex(np.trace(np.linalg.matrix_power(M, j)))
+    QS = eta * q0 * (Binv @ PB @ Ainv @ P)
+    QB = -eta * q0 * (Binv @ PB @ Ainv @ P @ S @ Binv)
+    # product rule over the commuting factors (B - t_s^(-1))
+    for s in range(m - 1, -1, -1):
+        left = eye.copy()
+        for sp in range(m - 1, s, -1):
+            left = left @ factors[sp]
+        right = eye.copy()
+        for sp in range(s - 1, -1, -1):
+            right = right @ factors[sp]
+        QB += right @ Ainv @ P @ Lfac @ left
+    QAi = P @ Lfac @ PB
+    return value, QB.T, QS.T, np.diag(QAi.T)
+
+
+def coefficient_jacobian_by_interpolation(coords, family, params):
+    """(values, Jacobian) of the G or H coefficients from values and gradients at the
+    (j+1)-st roots of unity, solved for the eta-coefficients by Vandermonde systems."""
+    n, d = coords.n, coords.d
+    n_complex = n + n * (d - 1) + n * d
+    pairs = index_set(n, d)
+    values = np.zeros(len(pairs), dtype=complex)
+    jac = np.zeros((len(pairs), n_complex), dtype=complex)
+    row = 0
+    for j in range(1, n + 1):
+        nodes = np.exp(2j * np.pi * np.arange(j + 1) / (j + 1))
+        vander = np.vander(nodes, j + 1, increasing=True)
+        vals = np.zeros(j + 1, dtype=complex)
+        grads = np.zeros((j + 1, n_complex), dtype=complex)
+        for r, eta in enumerate(nodes):
+            value, AdjB, AdjS, AdjAi = reduced_adjoints_at(family, coords, params, j, eta)
+            vals[r] = value
+            grads[r] = _grad_packed(coords, params, AdjB, AdjS, AdjAi)
+        coeff_vals = np.linalg.solve(vander, vals)
+        coeff_grads = np.linalg.solve(vander, grads)
+        for l in range(0, min(j - 1, d) + 1):
+            values[row] = coeff_vals[l]
+            jac[row] = coeff_grads[l]
+            row += 1
+    return values, jac

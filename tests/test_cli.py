@@ -173,6 +173,22 @@ def test_point_round_trip_io(tmp_path):
         assert np.array_equal(a, b)
 
 
+def test_rank_with_singular_lax_matrix_exits_1(tmp_path, capsys):
+    # every c = 0 makes the Lax matrix B vanish, and H needs B^(-1)
+    from spinquiver import random_coordinates
+    from conftest import make_setup
+    spec, params = make_setup(2, 2, 3)
+    coords = random_coordinates(spec, params, seed=2)
+    data = sqio.coords_to_dict(coords)
+    data["c"] = sqio.encode_matrix(np.zeros_like(coords.c))
+    path = str(tmp_path / "c0.json")
+    sqio.write_json(path, data)
+    assert run(["rank", "--spec", "2,2,3", "--family", "H", "--coords", path]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == ["error: the reduced families need an invertible B"]
+
+
 def test_coords_round_trip_io(tmp_path):
     from spinquiver import random_coordinates
     from conftest import make_setup
