@@ -302,8 +302,13 @@ def cmd_rank(args, report, point, params) -> None:
 def cmd_flow(args, report, point, params) -> None:
     spec = point.spec
     k = args.k if args.k is not None else (1 if args.ham == "trT" else spec.m)
-    fs = FlowSpec(hamiltonian=args.ham, k=k, time=args.time, eta=args.eta,
-                  steps=args.steps)
+    try:
+        fs = FlowSpec(hamiltonian=args.ham, k=k, time=args.time, eta=args.eta,
+                      steps=args.steps)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if args.ham != "trT" and k % spec.m:
+        raise UsageError(f"--ham {args.ham} needs --k a multiple of m = {spec.m}, got {k}")
     traj = ode_oracle(point, fs, params)
 
     fam = {"trZ": 4, "trY": 3, "trT": 2}[args.ham]

@@ -385,9 +385,13 @@ def _pencil_links(terms: list) -> list:
 def _grad_packed(coords: LocalCoordinates, params: ParameterSet,
                  AdjB: np.ndarray, AdjS: np.ndarray,
                  AdjAinvDiag: np.ndarray) -> np.ndarray:
-    """Pull the adjoints back to the packed free coordinates (x, a-free, c)."""
+    """Pull the adjoints back to the packed free coordinates (x, a-free, c).
+
+    AdjB and AdjS are (..., n, n) and AdjAinvDiag is (..., n); each leading
+    index is one function, pulled back to one (..., free coordinates) row.
+    """
     t = params.t
-    n, d = coords.n, coords.d
+    d = coords.d
     x = coords.x
     a, c = coords.a, coords.c
     f = coords.f_matrix()
@@ -398,22 +402,24 @@ def _grad_packed(coords: LocalCoordinates, params: ParameterSet,
     # dF/df via both B = t f K and S = f
     Adjf = AdjB * tK + AdjS
 
-    grad_x = np.zeros(n, dtype=complex)
-    D2 = t * f / denom ** 2
-    grad_x += np.array([np.sum(AdjB[:, k] * D2[:, k] * x) for k in range(n)])
-    grad_x -= np.array([np.sum(AdjB[k, :] * D2[k, :] * x) for k in range(n)])
+    # dB[i, j]/dx_k = D2[i, j] (x_i [j = k] - x_j [i = k]); each sum runs along
+    # a contiguous last axis, so it adds in the order np.sum adds one vector
+    AdjBD2 = AdjB * (t * f / denom ** 2)
+    grad_x = np.ascontiguousarray(np.swapaxes(AdjBD2 * x[:, None], -1, -2)).sum(axis=-1)
+    grad_x -= np.ascontiguousarray(AdjBD2 * x[None, :]).sum(axis=-1)
     grad_x += AdjAinvDiag * (-1.0 / x ** 2)
 
-    grad_a = Adjf @ c.T          # shape (n, d): dF/da[k, alpha]
-    grad_c = a.T @ Adjf          # shape (d, n): dF/dc[alpha, k]
+    grad_a = Adjf @ c.T          # shape (..., n, d): dF/da[k, alpha]
+    grad_c = a.T @ Adjf          # shape (..., d, n): dF/dc[alpha, k]
 
+    lead = grad_x.shape[:-1]
     parts = [grad_x]
     if d > 1:
         # row-sum constraint: a[:, d-1] = 1 - sum of the free columns
-        free = grad_a[:, :d - 1] - grad_a[:, d - 1][:, None]
-        parts.append(free.reshape(-1))
-    parts.append(grad_c.reshape(-1))
-    return np.concatenate(parts)
+        free = grad_a[..., :d - 1] - grad_a[..., d - 1:]
+        parts.append(free.reshape(lead + (-1,)))
+    parts.append(grad_c.reshape(lead + (-1,)))
+    return np.concatenate(parts, axis=-1)
 
 
 def coefficient_jacobian(coords: LocalCoordinates, family: str,
@@ -432,14 +438,14 @@ def coefficient_jacobian(coords: LocalCoordinates, family: str,
     links = [_pencil_links(terms) for terms in pencil]
     pairs = index_set(n, d)
     values = np.array([powers[j][l].trace() for j, l in pairs], dtype=complex)
-    jac = np.zeros((len(pairs), n + n * (d - 1) + n * d), dtype=complex)
+    adj = {var: np.zeros((len(pairs), n, n), dtype=complex) for var in ("Ainv", "B", "S")}
     for row, (j, l) in enumerate(pairs):
-        adj = {var: np.zeros((n, n), dtype=complex) for var in ("Ainv", "B", "S")}
         for side in range(2 if l else 1):    # the dM1 term needs l >= 1
             Q = j * powers[j - 1][l - side]
             for var, c, left, right in links[side]:
-                adj[var] += c * (left @ Q @ right)
-        jac[row] = _grad_packed(coords, params, adj["B"].T, adj["S"].T, np.diag(adj["Ainv"]))
+                adj[var][row] += c * (left @ Q @ right)
+    jac = _grad_packed(coords, params, adj["B"].transpose(0, 2, 1),
+                       adj["S"].transpose(0, 2, 1), np.diagonal(adj["Ainv"], axis1=1, axis2=2))
     return values, jac
 
 

@@ -22,25 +22,30 @@ takes, in their association (CycleMatrix.power's squaring order included),
 grouped by dependency level.  A level's products are one take, which gathers
 their blocks with precomputed shift indices, and one matmul into the call's
 own workspace; inverses, the shift 1 + eta Theta and the sums are one call
-each.  The trajectories are bit-identical to evaluating the fields product
-by product on CycleMatrix states: each product keeps its operands and
-association, a batched matmul multiplies each n x n block as a single one
-does, and the elementwise operations act on each entry alone.
+each.  Each call of the oracle binds these steps to its workspace once, so
+a field evaluation only runs the bound calls.  The trajectories are
+bit-identical to evaluating the fields product by product on CycleMatrix
+states: each product keeps its operands and association, a batched matmul
+multiplies each n x n block as a single one does, and the elementwise
+operations act on each entry alone.
 
 Each vector field evaluates its eta-terms (Theta or Theta^(-1), the shift
 1 + eta Theta and the eta-weighted part of dX) only when eta != 0.  The
 matrix whose inverse defines Theta (ZX, 1 + YX, or X and U) is tested at
 every eta all the same, because that is the oracle's domain test: at eta = 0
 too, a trajectory that leaves the locus where Theta is defined stops there
-with SingularFactor instead of running on.  At eta = 0 the inverse itself is
-unused, so the test is an LU factorization alone (_require_invertible), one
-over all the blocks a field tests.
+with SingularFactor instead of running on.  At eta != 0 the field's own
+inverse is the test.  At eta = 0 the inverse itself is unused, so the test
+is an LU factorization alone (_require_invertible), run once per RK4 step
+over the tested blocks of all four stages.  A singular stage then only feeds
+products into the later stages, which either overflow or reach the test, so
+every step stops where a per-stage test would stop it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -89,6 +94,8 @@ class FlowSpec:
             raise ValueError("hamiltonian must be one of trZ, trY, trT")
         if self.k < 1:
             raise ValueError("power k must be >= 1")
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
 
 
 def _point_with_XZ(point: RepPoint, Xb, Zb) -> RepPoint:
@@ -157,8 +164,8 @@ def _point_with_XT(point: RepPoint, Xb, Tb) -> RepPoint:
 # The fields act on cycle matrices: X of degree +1, Z and Y of degree -1,
 # U = 1 + XY of degree 0.  Each field is written once, below, as the
 # products, inverses and sums it takes.  _plan traces it on _Node
-# placeholders, and _Plan.run evaluates what the trace recorded on one
-# workspace stack, level by level.
+# placeholders, _Plan.workspace binds what the trace recorded to one
+# workspace stack, and _Plan.run evaluates it there, level by level.
 
 def _require_invertible(blocks: np.ndarray) -> None:
     """Raise LinAlgError exactly where inv(blocks) would: some block has an exact zero pivot.
@@ -166,6 +173,8 @@ def _require_invertible(blocks: np.ndarray) -> None:
     slogdet runs the same LU factorization as inv and reports sign 0 for an
     exact zero pivot; a non-finite block gives sign nan, which passes here
     as it does in inv.  Floating-point flags are ignored, as inv ignores them.
+    The oracle calls it once per RK4 step, on the tested blocks of all four
+    stages in one (4, tested, m, n, n) stack.
     """
     with np.errstate(all="ignore"):
         sign = np.linalg.slogdet(blocks)[0]
@@ -283,7 +292,7 @@ class _Node:
 
 
 def _test_invertible(*nodes: _Node) -> None:
-    """Record one domain test over all the nodes' blocks (_require_invertible)."""
+    """Record the nodes whose blocks the oracle's per-step domain test checks."""
     nodes[0]._new("test", nodes, 0)
 
 
@@ -291,11 +300,14 @@ class _Plan:
     """A traced field's steps grouped by dependency level, on one workspace stack.
 
     The workspace has one (m, n, n) slot per traced value: slot 0 holds X,
-    slot 1 the second state matrix.  Within a level, domain tests run first,
-    then inverses and elementwise steps, one call each, then the level's
-    products: these sit in consecutive slots, so one take gathers their left
-    blocks and their right blocks shifted by the left degree (as
+    slot 1 the second state matrix.  Within a level, inverses and
+    elementwise steps run first, one call each, then the level's products:
+    these sit in consecutive slots, so one take gathers their left blocks
+    and their right blocks shifted by the left degree (as
     CycleMatrix.__matmul__ shifts them), and one matmul writes them all.
+    Domain tests are not run here: the plan records the slots they name in
+    tested, and run copies those blocks out for the caller, which tests all
+    four RK4 stages' copies in one _require_invertible call per step.
     The plan holds read-only index arrays only; each caller owns a workspace.
     """
 
@@ -307,13 +319,13 @@ class _Plan:
             if level[node] == 0:            # the state and the identities
                 slot[node] = len(slot)
         self.ones = [slot[node] for node in trace if node.op == "one"]
-        self.steps, gather = [], 0
+        self.steps, tested, gather = [], [], 0
         for lev in range(1, max(level.values()) + 1):
             nodes = [node for node in trace if level[node] == lev]
             for node in nodes:
                 args = [slot[a] for a in node.args]
                 if node.op == "test":
-                    self.steps.append(("test", np.array(args)))
+                    tested += args
                 elif node.op != "mm":
                     slot[node] = len(slot)
                     step = (node.op, *args, slot[node])
@@ -335,45 +347,58 @@ class _Plan:
                 gather = max(gather, len(idx))
         self.slots, self.gather = len(slot), gather
         self.out = np.array([slot[node] for node in outputs])
-        self.out.setflags(write=False)
+        self.tested = np.array(tested, dtype=np.intp)
+        for idx in (self.out, self.tested):
+            idx.setflags(write=False)
         self.degrees = tuple(node.deg for node in outputs)
         self.eye = np.eye(n)
         self.eye.setflags(write=False)
 
-    def workspace(self) -> tuple:
-        """A fresh (workspace, its (slots m, n, n) view, gather buffer) for run."""
-        work = np.empty((self.slots, self.m, self.n, self.n), dtype=complex)
-        work[self.ones] = self.eye
-        flat = work.reshape(-1, self.n, self.n)
-        return work, flat, np.empty((self.gather, self.n, self.n), dtype=complex)
-
-    def run(self, ws: tuple, eta, out: np.ndarray) -> None:
-        """Write the field at the state in workspace slots 0 and 1 into out (2, m, n, n).
+    def workspace(self, eta) -> tuple:
+        """A fresh (workspace, the plan's steps bound to it and to eta) for run.
 
         take writes into its out without a buffer only in a mode other than
         "raise"; every index here is in range, so "clip" changes nothing else.
         """
-        work, flat, gather = ws
-        for step in self.steps:
-            op = step[0]
+        n = self.n
+        work = np.empty((self.slots, self.m, n, n), dtype=complex)
+        work[self.ones] = self.eye
+        flat = work.reshape(-1, n, n)
+        gather = np.empty((self.gather, n, n), dtype=complex)
+        calls = []
+        for op, *args in self.steps:
             if op == "mm":
-                _, idx, lo, hi = step
-                both = flat.take(idx, axis=0, out=gather[:len(idx)], mode="clip")
-                np.matmul(both[:hi - lo], both[hi - lo:], out=flat[lo:hi])
-            elif op == "test":
-                _require_invertible(work[step[1]])
+                idx, lo, hi = args
+                both = gather[:len(idx)]
+                calls += [partial(flat.take, idx, axis=0, out=both, mode="clip"),
+                          partial(np.matmul, both[:hi - lo], both[hi - lo:], out=flat[lo:hi])]
             elif op == "inv":
-                np.linalg.inv(work[step[1]]).take(step[3], axis=0, out=work[step[2]],
-                                                  mode="clip")
+                calls.append(partial(_inverse_into, work[args[0]], args[2], work[args[1]]))
             elif op == "neg":
-                np.negative(work[step[1]], out=work[step[2]])
+                calls.append(partial(np.negative, work[args[0]], out=work[args[1]]))
             elif op == "add":
-                np.add(work[step[1]], work[step[2]], out=work[step[3]])
+                calls.append(partial(np.add, work[args[0]], work[args[1]], out=work[args[2]]))
             elif op == "add1":
-                np.add(work[step[1]], self.eye, out=work[step[2]])
+                calls.append(partial(np.add, work[args[0]], self.eye, out=work[args[1]]))
             else:       # scale
-                np.multiply(eta if step[3] > 0 else -eta, work[step[1]], out=work[step[2]])
+                calls.append(partial(np.multiply, eta if args[2] > 0 else -eta,
+                                     work[args[0]], out=work[args[1]]))
+        return work, calls
+
+    def run(self, ws: tuple, out: np.ndarray, tested: np.ndarray) -> None:
+        """Write the field at the state in workspace slots 0 and 1 into out (2, m, n, n),
+        and the blocks its domain test names into tested (len(self.tested), m, n, n)."""
+        work, calls = ws
+        for call in calls:
+            call()
         work.take(self.out, axis=0, out=out, mode="clip")
+        if self.tested.size:
+            work.take(self.tested, axis=0, out=tested, mode="clip")
+
+
+def _inverse_into(blocks: np.ndarray, shift: np.ndarray, out: np.ndarray) -> None:
+    """Write the blocks of a value's inverse into out, as CycleMatrix.inv orders them."""
+    np.linalg.inv(blocks).take(shift, axis=0, out=out, mode="clip")
 
 
 @lru_cache(maxsize=64)
@@ -413,9 +438,12 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
     are evaluated only when flow.eta != 0; the matrix whose inverse defines
     Theta is tested at every eta, so that an eta = 0 run stops where Theta
     stops being defined, as it would if the eta-terms were evaluated and
-    multiplied by 0.
+    multiplied by 0.  At eta = 0 that test runs once per step, after the
+    fourth stage, on the tested blocks of all four stages.
     """
     spec = point.spec
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     if flow.hamiltonian in ("trZ", "trY") and flow.k % spec.m:
         raise ValueError("trZ/trY flows need m | k")
     X = CycleMatrix.of_letters("x", point.X)
@@ -432,10 +460,11 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
         M = 1 + X @ CycleMatrix.of_letters("y", point.Y)
         rebuild = lambda X, M: _point_with_XT(point, X.letters("x"), M.blocks)
     plan = _plan(flow.hamiltonian, flow.k, spec.m, spec.n, flow.eta == 0)
-    ws = plan.workspace()
+    ws = plan.workspace(flow.eta)
     stage = ws[0][:2]                       # the state a field evaluation reads
     state = np.stack([X.blocks, M.blocks])
     slopes = np.empty((4,) + state.shape, dtype=complex)
+    tested = np.empty((4, len(plan.tested)) + state.shape[1:], dtype=complex)
 
     h = flow.time / flow.steps
     stride = max(1, flow.steps // samples)
@@ -445,10 +474,12 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
         try:
             with np.errstate(over="raise", invalid="raise"):
                 np.copyto(stage, state)
-                plan.run(ws, flow.eta, slopes[0])
+                plan.run(ws, slopes[0], tested[0])
                 for i, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
                     np.add(state, np.multiply(c, slopes[i - 1], out=stage), out=stage)
-                    plan.run(ws, flow.eta, slopes[i])
+                    plan.run(ws, slopes[i], tested[i])
+                if tested.size:
+                    _require_invertible(tested)
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
             err = SingularFactor(f"oracle singular at step {step}", traj)
             raise err from exc
@@ -482,6 +513,7 @@ def conservation_report(point: RepPoint, flow: FlowSpec, observables: dict,
 
     observables maps name -> callable(RepPoint) -> complex/float.  The report
     holds per-name initial value, max absolute drift, and relative drift.
+    Raises ValueError, through ode_oracle, unless samples >= 1.
     """
     traj = ode_oracle(point, flow, params, samples=samples)
     report = {}

@@ -4,12 +4,13 @@ import pytest
 from spinquiver import (LocalCoordinates, ModelSpec, derive_params,
                         point_from_coordinates, random_coordinates, random_point)
 from spinquiver import flows
-from spinquiver.families import _grad_packed, index_set
+from spinquiver.families import (_pencil_links, _pencil_matrix, _pencil_powers,
+                                 _reduced_pencil, index_set)
 from spinquiver.cyclic import CycleMatrix
 from spinquiver.engine import _as_wordsum
 from spinquiver.errors import Degenerate, SingularFactor, SingularX
 from spinquiver.points import (ReducedQuadruple, RepPoint, _readonly, gauge_act,
-                               spin_data)
+                               quadruple_from_coordinates, spin_data)
 from spinquiver.words import letter_tail_head
 
 # fixed generic deformation parameters per cycle length, regular by construction
@@ -159,13 +160,22 @@ def trace_bracket_words_loop(eng, w1, w2):
 # -- the oracle's fields on CycleMatrix states, through flows' traced plans -------
 
 def oracle_field(hamiltonian, X, M, k, eta):
-    """(dX, dM) of one field on CycleMatrix states, evaluated through its plan."""
+    """(dX, dM) of one field on CycleMatrix states, evaluated through its plan.
+
+    The blocks the plan names for the domain test go through
+    flows._require_invertible, as the oracle's per-step test takes them, so
+    a field raises LinAlgError wherever an inverse in the graded references
+    would.
+    """
     m, n = X.blocks.shape[:2]
     plan = flows._plan(hamiltonian, k, m, n, eta == 0)
-    ws = plan.workspace()
+    ws = plan.workspace(eta)
     ws[0][0], ws[0][1] = X.blocks, M.blocks
     out = np.empty((2, m, n, n), dtype=complex)
-    plan.run(ws, eta, out)
+    tested = np.empty((len(plan.tested), m, n, n), dtype=complex)
+    plan.run(ws, out, tested)
+    if tested.size:
+        flows._require_invertible(tested)
     return CycleMatrix(plan.degrees[0], out[0]), CycleMatrix(plan.degrees[1], out[1])
 
 
@@ -227,6 +237,61 @@ def ode_oracle_loop(point, flow, field, samples=10):
                                      traj) from exc
             traj.append(step * h, sample)
     return traj
+
+
+# -- reference for families._grad_packed and coefficient_jacobian: one row at a time --
+
+def grad_packed_per_row(coords, params, AdjB, AdjS, AdjAinvDiag):
+    """One function's adjoints (n x n, n x n, n) pulled back to the packed free coordinates."""
+    t = params.t
+    n, d = coords.n, coords.d
+    x = coords.x
+    a, c = coords.a, coords.c
+    f = coords.f_matrix()
+    denom = x[:, None] - t * x[None, :]
+    K = x[None, :] / denom
+    tK = t * K
+
+    # dF/df via both B = t f K and S = f
+    Adjf = AdjB * tK + AdjS
+
+    grad_x = np.zeros(n, dtype=complex)
+    D2 = t * f / denom ** 2
+    grad_x += np.array([np.sum(AdjB[:, k] * D2[:, k] * x) for k in range(n)])
+    grad_x -= np.array([np.sum(AdjB[k, :] * D2[k, :] * x) for k in range(n)])
+    grad_x += AdjAinvDiag * (-1.0 / x ** 2)
+
+    grad_a = Adjf @ c.T          # shape (n, d): dF/da[k, alpha]
+    grad_c = a.T @ Adjf          # shape (d, n): dF/dc[alpha, k]
+
+    parts = [grad_x]
+    if d > 1:
+        # row-sum constraint: a[:, d-1] = 1 - sum of the free columns
+        free = grad_a[:, :d - 1] - grad_a[:, d - 1][:, None]
+        parts.append(free.reshape(-1))
+    parts.append(grad_c.reshape(-1))
+    return np.concatenate(parts)
+
+
+def coefficient_jacobian_per_row(coords, family, params):
+    """(values, Jacobian) of families.coefficient_jacobian, each row's adjoints pulled
+    back on their own by grad_packed_per_row."""
+    n, d = coords.n, coords.d
+    pencil = _reduced_pencil(family, quadruple_from_coordinates(coords, params), params)
+    powers = [[np.eye(n)]] + _pencil_powers(*map(_pencil_matrix, pencil), n)
+    links = [_pencil_links(terms) for terms in pencil]
+    pairs = index_set(n, d)
+    values = np.array([powers[j][l].trace() for j, l in pairs], dtype=complex)
+    jac = np.zeros((len(pairs), n + n * (d - 1) + n * d), dtype=complex)
+    for row, (j, l) in enumerate(pairs):
+        adj = {var: np.zeros((n, n), dtype=complex) for var in ("Ainv", "B", "S")}
+        for side in range(2 if l else 1):    # the dM1 term needs l >= 1
+            Q = j * powers[j - 1][l - side]
+            for var, c, left, right in links[side]:
+                adj[var] += c * (left @ Q @ right)
+        jac[row] = grad_packed_per_row(coords, params, adj["B"].T, adj["S"].T,
+                                       np.diag(adj["Ainv"]))
+    return values, jac
 
 
 # -- reference for families.coefficient_jacobian: root-of-unity interpolation -----
@@ -302,7 +367,7 @@ def coefficient_jacobian_by_interpolation(coords, family, params):
         for r, eta in enumerate(nodes):
             value, AdjB, AdjS, AdjAi = reduced_adjoints_at(family, coords, params, j, eta)
             vals[r] = value
-            grads[r] = _grad_packed(coords, params, AdjB, AdjS, AdjAi)
+            grads[r] = grad_packed_per_row(coords, params, AdjB, AdjS, AdjAi)
         coeff_vals = np.linalg.solve(vander, vals)
         coeff_grads = np.linalg.solve(vander, grads)
         for l in range(0, min(j - 1, d) + 1):

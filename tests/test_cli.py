@@ -108,6 +108,21 @@ def test_error_prints_message_only(tmp_path, capsys):
     assert errors == ["error: oracle singular at step 11"]
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--steps", "0"], "steps must be >= 1"),
+    (["--steps", "-3"], "steps must be >= 1"),
+    (["--k", "0"], "power k must be >= 1"),
+    (["--ham", "trZ", "--k", "1"], "--ham trZ needs --k a multiple of m = 2, got 1"),
+])
+def test_flow_rejects_unusable_options(tmp_path, capsys, extra, message):
+    prefix = tmp_path / "fl"
+    assert run(["flow", "--spec", "2,2,2", "--out", str(prefix)] + extra) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: {message}"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_reduce_and_dual(tmp_path):
     out = str(tmp_path / "red.json")
     assert run(["reduce", "--spec", "2,2,2", "--seed", "3", "--out", out,

@@ -13,13 +13,14 @@ from spinquiver import (ModelSpec, PointEngine, cy2_rank, derive_params, family_
                         reduced_quadruple, spect_residual, spectral_coeffs,
                         total_matrices)
 from spinquiver.errors import IllConditioned, SingularFactor
-from spinquiver.families import (FAMILIES, _coefficient_functions, _pack_coords,
-                                 _unpack_coords, big_C_constant, big_K_constant,
-                                 coefficient_jacobian, family_word_sum, index_set)
+from spinquiver.families import (FAMILIES, _coefficient_functions, _grad_packed,
+                                 _pack_coords, _unpack_coords, big_C_constant,
+                                 big_K_constant, coefficient_jacobian, family_word_sum,
+                                 index_set)
 from spinquiver.points import quadruple_from_coordinates, theta_blocks
 
-from conftest import (coefficient_jacobian_by_interpolation, cycle_blocks, cycle_total,
-                      make_point, make_setup)
+from conftest import (coefficient_jacobian_by_interpolation, coefficient_jacobian_per_row,
+                      cycle_blocks, cycle_total, grad_packed_per_row, make_point, make_setup)
 
 
 @pytest.fixture(scope="module")
@@ -479,6 +480,36 @@ def test_jacobian_matches_interpolating_reference(m, d):
         assert np.all(np.abs(values - ref_values) <= 1e-11 * np.abs(ref_values))
         assert np.all(np.linalg.norm(jac - ref_jac, axis=1)
                       <= 1e-11 * np.linalg.norm(ref_jac, axis=1))
+
+
+@pytest.mark.parametrize("m,d", RANK_GRID)
+def test_jacobian_matches_per_row_pullback(m, d):
+    # one _grad_packed call on the stacked adjoints of all rows adds in the
+    # order the per-row reference does, so the Jacobians are bit-identical
+    for n in (d + 1, 6):
+        spec, params = make_setup(m, d, n)
+        coords = random_coordinates(spec, params, seed=3)
+        for family in ("G", "H"):
+            got = coefficient_jacobian(coords, family, params)
+            want = coefficient_jacobian_per_row(coords, family, params)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (n, family)
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (6, 3), (9, 2)])
+def test_grad_packed_pulls_back_each_leading_index(n, d):
+    spec, params = make_setup(2, d, n)
+    coords = random_coordinates(spec, params, seed=4)
+    rng = np.random.default_rng(n + 10 * d)
+    draw = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    AdjB, AdjS, AdjA = draw(2, 3, n, n), draw(2, 3, n, n), draw(2, 3, n)
+    for B, S in ((AdjB, AdjS), (AdjB.transpose(0, 1, 3, 2), AdjS.transpose(0, 1, 3, 2))):
+        got = _grad_packed(coords, params, B, S, AdjA)
+        assert got.shape == (2, 3, n + n * (d - 1) + n * d)
+        for i, j in itertools.product(range(2), range(3)):
+            want = grad_packed_per_row(coords, params, B[i, j], S[i, j], AdjA[i, j])
+            assert np.array_equal(got[i, j], want)
+            assert np.array_equal(_grad_packed(coords, params, B[i, j], S[i, j], AdjA[i, j]),
+                                  want)
 
 
 def _draw_325_seed8():

@@ -17,6 +17,7 @@ from spinquiver import flows
 from spinquiver.cyclic import CycleMatrix
 from spinquiver.errors import SingularFactor
 from spinquiver.flows import closed_form_flow, conservation_report, expm
+from spinquiver.points import RepPoint
 
 from conftest import dense_cycle, ode_oracle_loop, tame_point, vf_T, vf_Y, vf_Z
 
@@ -172,6 +173,20 @@ def test_conservation_report_structure(tame):
     assert report["moment"]["max_drift"] <= 1e-9
     # tr X^m is generically not conserved under the T-flow: report only
     assert report["trXm"]["max_drift"] > 1e-6
+
+
+def test_flow_inputs_are_validated(tame):
+    point, spec, params = tame
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            FlowSpec(hamiltonian="trT", k=1, time=1.0, steps=steps)
+    fs = FlowSpec(hamiltonian="trT", k=1, time=0.5, steps=4)
+    for samples in (0, -2):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            ode_oracle(point, fs, params, samples=samples)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            conservation_report(point, fs, {"trX": lambda p: np.trace(p.X[0])},
+                                samples=samples)
 
 
 def test_oracle_trajectory_sampling(tame):
@@ -481,11 +496,51 @@ def test_oracle_rebuild_failure_is_singular_factor():
                             _trajectory(lambda: ode_oracle_loop(point, fs, _graded_vf_Z)))
 
 
+def test_oracle_stops_at_a_later_singular_stage():
+    # trT at k = 1 with Y = 0: U = 1 and the field is dX = -X, dU = 0, so with
+    # h = 2 the first stage's X is regular, the second stage's X = X - X is
+    # exactly 0, and the third and fourth stages' X are X and -X again; only
+    # the second stage leaves the domain, and both oracles stop at step 1
+    point, _spec, params = tame_point(2, 2, 3, seed=5)
+    zero = [np.zeros_like(y) for y in point.Y]
+    point = RepPoint.make(point.spec, point.X, zero, point.V, point.W)
+    fs = FlowSpec("trT", 1, 2.0 * 3, 0.0, 3)
+    got = _trajectory(lambda: ode_oracle(point, fs, params))
+    want = _trajectory(lambda: ode_oracle_loop(point, fs, _graded_vf_T))
+    assert got[2] == "oracle singular at step 1"
+    _assert_same_trajectory(got, want)
+    assert len(got[0]) == 1
+
+
+@pytest.mark.parametrize("ham, k, per_stage", [("trZ", 2, 1), ("trY", 2, 1), ("trT", 1, 2),
+                                               ("trT", 3, 2)])
+def test_domain_test_runs_once_per_step(tame, monkeypatch, ham, k, per_stage):
+    # at eta = 0, one _require_invertible call per step, on the tested blocks
+    # of all four stages; at eta != 0 the field's own inverses test, and none
+    point, spec, params = tame
+    m, n = spec.m, spec.n
+    require, shapes = flows._require_invertible, []
+
+    def recorded(blocks):
+        shapes.append(blocks.shape)
+        require(blocks)
+
+    monkeypatch.setattr(flows, "_require_invertible", recorded)
+    ode_oracle(point, FlowSpec(ham, k, 0.2, 0.0, 7), params)
+    assert shapes == [(4, per_stage, m, n, n)] * 7
+    assert len(flows._plan(ham, k, m, n, True).tested) == per_stage
+    shapes.clear()
+    ode_oracle(point, FlowSpec(ham, k, 0.2, 0.3 - 0.2j, 7), params)
+    assert shapes == []
+    assert len(flows._plan(ham, k, m, n, False).tested) == 0
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_oracle_is_reentrant(monkeypatch):
     # a second oracle on the same plan runs whole inside the first one's first
-    # domain test, in the middle of a field evaluation; each call owns its
-    # workspace, so both match the runs made one at a time
+    # domain test, after all four stages of its first step; each call owns its
+    # workspace and its buffer of tested blocks, so both match the runs made
+    # one at a time
     fs = FlowSpec("trT", 1, 1.0, 0.0, 100)
     (p1, params1), (p2, params2) = _recipe_point(9), _recipe_point(11)
     alone = [_trajectory(lambda: ode_oracle(p, fs, par)) for p, par in ((p1, params1),
