@@ -299,16 +299,22 @@ def cmd_rank(args, report, point, params) -> None:
                abs(observed - expected), 0.5)
 
 
-def cmd_flow(args, report, point, params) -> None:
-    spec = point.spec
-    k = args.k if args.k is not None else (1 if args.ham == "trT" else spec.m)
+def _check_flow(args) -> None:
+    """Build the flow's FlowSpec from its options into args.flow; no point is needed."""
+    m = args.spec.m
+    k = args.k if args.k is not None else (1 if args.ham == "trT" else m)
     try:
-        fs = FlowSpec(hamiltonian=args.ham, k=k, time=args.time, eta=args.eta,
-                      steps=args.steps)
+        args.flow = FlowSpec(hamiltonian=args.ham, k=k, time=args.time, eta=args.eta,
+                             steps=args.steps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.ham != "trT" and k % spec.m:
-        raise UsageError(f"--ham {args.ham} needs --k a multiple of m = {spec.m}, got {k}")
+    if args.ham != "trT" and k % m:
+        raise UsageError(f"--ham {args.ham} needs --k a multiple of m = {m}, got {k}")
+
+
+def cmd_flow(args, report, point, params) -> None:
+    spec = point.spec
+    fs = args.flow
     traj = ode_oracle(point, fs, params)
 
     fam = {"trZ": 4, "trY": 3, "trT": 2}[args.ham]
@@ -390,6 +396,11 @@ def cmd_dual(args, report, point, params) -> None:
     })
 
 
+def _check_report(args) -> None:
+    if args.points < 1:
+        raise UsageError(f"--points must be >= 1, got {args.points}")
+
+
 def cmd_report(args, report, point, params) -> None:
     """The default suites; each cell draws its own parameters and points."""
     cells = [(m, d, n) for m in (1, 2, 3) for d in (1, 2, 3) for n in (2, 3, 4)]
@@ -435,6 +446,7 @@ class Command(NamedTuple):
     source: str | None      # "point": --point file or drawn; "params": drawn q only
     report: str | None      # where the report goes: "stdout", "--out", or nowhere
     tols: tuple = ()        # the DEFAULT_TOLS names the body reads; --tol takes only these
+    check: Callable | None = None   # validates the options before any point is drawn
 
 
 COMMANDS = {
@@ -464,7 +476,7 @@ COMMANDS = {
                             ("--time", dict(type=float, default=1.0)),
                             ("--eta", dict(type=complex, default=0.0)),
                             ("--steps", dict(type=int, default=200))),
-                    "point", "stdout", ("drift",)),
+                    "point", "stdout", ("drift",), _check_flow),
     "reduce": Command("evaluate reduction-invariant words", cmd_reduce,
                       DRAW + (OUT, ("--word", dict(default=None, help="extra word over X, Z, S"))),
                       "point", "stdout"),
@@ -473,7 +485,7 @@ COMMANDS = {
     "report": Command("run the default verification suites", cmd_report,
                       (SEED, OUT, ("--points", dict(type=int, default=10,
                                                     help="points per cell"))),
-                      None, "--out", ("moment", "property")),
+                      None, "--out", ("moment", "property"), _check_report),
 }
 
 
@@ -511,6 +523,8 @@ def main(argv=None) -> int:
     try:
         if command.tols:
             args.tol = _tols(args.tol, command.tols)
+        if command.check:
+            command.check(args)
         point, params = _inputs(command, args)
         report = Report()
         command.body(args, report, point, params)

@@ -26,6 +26,11 @@ Bracket values between trace functions are computed two ways:
   the base generators contracted against the generator-pair table, which is
   the induced antisymmetric biderivation on the representation space.
 
+The letter-level rests of a word sum are expanded once per point: the engine
+caches them per word sum, keyed by its terms, as read-only blocks, and both
+routes read that one expansion (so a check that brackets tr X^m against many
+spin words, by both routes, expands tr X^m once).
+
 Both routes read one cached block evaluation of the generator-pair table.
 Its terms are multiplied without checking vertices: a term {{a, b}} has its
 left word on (tail b, head a) and its right word on (tail a, head b), which
@@ -171,6 +176,7 @@ class PointEngine:
         self._letter_cache: dict = {}
         self._pair_cache: dict = {}
         self._plan_cache: dict = {}
+        self._rests_cache: dict = {}
 
     # -- blocks ---------------------------------------------------------
 
@@ -312,13 +318,24 @@ class PointEngine:
 
     # -- bracket values: word route ---------------------------------------
 
-    def _letter_rests(self, ws) -> dict:
-        """{letter: sum of coeff * rest} over its occurrences in the closed words of ws."""
+    def _letter_rests(self, ws) -> tuple:
+        """(letter, sum of coeff * rest) pairs over the letters' occurrences in the closed words of ws.
+
+        Cached per word sum, keyed by its terms, with read-only blocks: both
+        bracket routes read the same expansion.
+        """
+        ws = _as_wordsum(ws)
+        cached = self._rests_cache.get(ws.terms)
+        if cached is not None:
+            return cached
         out: dict = {}
-        for cw, word in _as_wordsum(ws):
+        for cw, word in ws:
             for letter, rest in zip(word, self._rests(word) or ()):
                 out[letter] = out.get(letter, 0.0) + cw * rest
-        return out
+        for Q in out.values():
+            Q.flags.writeable = False
+        cached = self._rests_cache[ws.terms] = tuple(out.items())
+        return cached
 
     def trace_bracket_value(self, w1, w2) -> complex:
         """{tr w1, tr w2} for closed words or word sums.
@@ -327,8 +344,8 @@ class PointEngine:
         the letters' own pair table, with no chain rule.
         """
         return self.bracket_gradients(
-            {l: Q.T for l, Q in self._letter_rests(w1).items()},
-            {l: Q.T for l, Q in self._letter_rests(w2).items()})
+            {l: Q.T for l, Q in self._letter_rests(w1)},
+            {l: Q.T for l, Q in self._letter_rests(w2)})
 
     def loday_matrix(self, w1, w2) -> np.ndarray:
         """Total matrix of the Loday bracket {w1, w2} for word sums."""
@@ -407,7 +424,7 @@ class PointEngine:
 
         The word route's letter-level rests, through the chain rule.
         """
-        return self.letter_gradients(self._letter_rests(ws).items())
+        return self.letter_gradients(self._letter_rests(ws))
 
     def _bracket_plan(self, keysF: tuple, keysG: tuple) -> "_BracketPlan":
         """The pair terms of two key sequences, grouped by block shape; cached.

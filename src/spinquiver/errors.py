@@ -34,7 +34,23 @@ class SingularH(SpinQuiverError):
 
 
 class SamplingExhausted(SpinQuiverError):
-    """Rejection sampling failed to produce an admissible point."""
+    """Rejection sampling failed to produce an admissible point.
+
+    rejections maps each reason a draw can be rejected for (a screen, or the
+    class of the error that stopped its build) to the number of draws it
+    rejected; last_error is the message of the last build error, or None.
+    The message states both.
+    """
+
+    def __init__(self, message: str, rejections=None, last_error: str | None = None):
+        self.rejections = dict(rejections or {})
+        self.last_error = last_error
+        if self.rejections:
+            message += " (rejected by " + ", ".join(
+                f"{reason}: {count}" for reason, count in self.rejections.items()) + ")"
+        if last_error is not None:
+            message += f"; last build error: {last_error}"
+        super().__init__(message)
 
 
 class IllConditioned(SpinQuiverError):

@@ -236,12 +236,19 @@ def point_from_coordinates(coords: LocalCoordinates, params: ParameterSet,
     return point
 
 
-def _admissible_draws(spec: ModelSpec, params: ParameterSet, seed: int, max_tries: int):
+_SCREENS = ("creg screen", "a-row-sum screen")
+_BUILD_ERRORS = (Degenerate, RegularityViolation, SingularFactor)
+
+
+def _admissible_draws(spec: ModelSpec, params: ParameterSet, seed: int, max_tries: int,
+                      rejected: dict):
     """Yield (x, a, c) for each of max_tries draws that passes the cheap screens.
 
     Positions are drawn on the annulus 0.5 <= |x| <= 2 with a 1e-3 margin
     against regular-locus violations; spins are complex standard normal, and
     a draw with an a-row summing to less than 0.1 in modulus is skipped.
+    Each skipped draw is counted in rejected, under its screen's name in
+    _SCREENS.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     n, d = spec.n, spec.d
@@ -250,9 +257,11 @@ def _admissible_draws(spec: ModelSpec, params: ParameterSet, seed: int, max_trie
         angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
         x = radius * np.exp(1j * angle)
         if not check_creg(x, params.t, margin=1e-3):
+            rejected[_SCREENS[0]] += 1
             continue
         a = (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))) / np.sqrt(2)
         if np.any(np.abs(a.sum(axis=1)) < 0.1):
+            rejected[_SCREENS[1]] += 1
             continue
         c = (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))) / np.sqrt(2)
         yield x, a, c
@@ -263,22 +272,28 @@ def random_point(spec: ModelSpec, params: ParameterSet, seed: int,
     """Sample an on-shell point; deterministic per seed.
 
     Draws as _admissible_draws describes, with a-rows renormalized to unit
-    sum; a draw whose point cannot be built counts against max_tries.
+    sum; a draw whose point cannot be built counts against max_tries.  When
+    none is left, SamplingExhausted counts the draws each screen and each
+    build error class rejected.
     """
-    for x, a, c in _admissible_draws(spec, params, seed, max_tries):
+    rejected = dict.fromkeys(_SCREENS + tuple(e.__name__ for e in _BUILD_ERRORS), 0)
+    last = None
+    for x, a, c in _admissible_draws(spec, params, seed, max_tries, rejected):
         try:
             return point_from_coordinates(LocalCoordinates.make(x, a, c), params, spec)
-        except (Degenerate, RegularityViolation, SingularFactor):
-            continue
-    raise SamplingExhausted(f"no admissible point after {max_tries} draws")
+        except _BUILD_ERRORS as exc:
+            rejected[type(exc).__name__] += 1
+            last = str(exc)
+    raise SamplingExhausted(f"no admissible point after {max_tries} draws", rejected, last)
 
 
 def random_coordinates(spec: ModelSpec, params: ParameterSet, seed: int,
                        max_tries: int = 1000) -> LocalCoordinates:
     """Sample admissible local coordinates with the same scheme as random_point."""
-    for x, a, c in _admissible_draws(spec, params, seed, max_tries):
+    rejected = dict.fromkeys(_SCREENS, 0)
+    for x, a, c in _admissible_draws(spec, params, seed, max_tries, rejected):
         return LocalCoordinates.make(x, a, c)
-    raise SamplingExhausted(f"no admissible coordinates after {max_tries} draws")
+    raise SamplingExhausted(f"no admissible coordinates after {max_tries} draws", rejected)
 
 
 def framing_product(point: RepPoint, reverse: bool = True) -> np.ndarray:

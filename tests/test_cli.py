@@ -123,6 +123,47 @@ def test_flow_rejects_unusable_options(tmp_path, capsys, extra, message):
     assert not list(tmp_path.iterdir())
 
 
+def _no_draws(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a point was drawn")
+    monkeypatch.setattr("spinquiver.cli.random_point", fail)
+
+
+def test_flow_checks_options_before_drawing(tmp_path, capsys, monkeypatch):
+    # (2,2,16) exhausts the sampler, so a late check would exit 1 after about a second
+    _no_draws(monkeypatch)
+    assert run(["flow", "--spec", "2,2,16", "--steps", "0", "--out", str(tmp_path / "fl")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: steps must be >= 1"]
+    assert run(["flow", "--spec", "2,2,16", "--ham", "trY", "--k", "3"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --ham trY needs --k a multiple of m = 2, got 3"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_report_rejects_fewer_than_one_point(tmp_path, capsys, monkeypatch, points):
+    _no_draws(monkeypatch)
+    out = tmp_path / "rep.json"
+    assert run(["report", "--points", points, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: --points must be >= 1, got {points}"]
+    assert not out.exists()
+
+
+def test_sampling_exhausted_states_its_rejections(tmp_path, capsys):
+    assert run(["gen", "--spec", "2,2,16", "--out", str(tmp_path / "p.json")]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
+    found = re.fullmatch(r"error: no admissible point after (\d+) draws \(rejected by (.*)\)"
+                         r"; last build error: (.+)", errors[0])
+    assert found, errors[0]
+    counts = dict(item.split(": ") for item in found.group(2).split(", "))
+    assert list(counts) == ["creg screen", "a-row-sum screen", "Degenerate",
+                            "RegularityViolation", "SingularFactor"]
+    assert sum(int(v) for v in counts.values()) == int(found.group(1)) == 1000
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_reduce_and_dual(tmp_path):
     out = str(tmp_path / "red.json")
     assert run(["reduce", "--spec", "2,2,2", "--seed", "3", "--out", out,

@@ -661,6 +661,53 @@ def test_position_spin_trace_identity(m):
             assert abs(lhs - rhs) < 1e-9 * scale
 
 
+def _spin_identity_brackets(eng, m, d):
+    """The 9 (d = 3) position-spin identity brackets, then their gradient-route twins."""
+    xk = cycle_power_sum("x", m, m)
+    spins = [spin_trace_word(a, b, m + 1, m) for a in range(1, d + 1) for b in range(1, d + 1)]
+    values = [eng.trace_bracket_value(xk, w2) for w2 in spins]
+    values += [eng.trace_bracket_grad(xk, w2) for w2 in spins]
+    return xk, spins, values
+
+
+def test_letter_rests_expand_each_closed_word_once_per_point(monkeypatch):
+    point, spec, params = make_point(4, 3, 6, seed=1)
+    expanded = []
+    rests = PointEngine._rests
+
+    def spy(self, word):
+        expanded.append(word)
+        return rests(self, word)
+    monkeypatch.setattr(PointEngine, "_rests", spy)
+    xk, spins, values = _spin_identity_brackets(PointEngine(point, params), 4, 3)
+    assert len(values) == 18
+    words = [w for ws in [xk] + spins for _, w in ws]
+    assert all(is_closed(w, 4) for w in words)
+    assert sorted(expanded) == sorted(set(words))
+
+
+def test_letter_rests_memo_changes_no_value():
+    # each bracket on a fresh engine forms the same products in the same order
+    point, spec, params = make_point(4, 3, 6, seed=1)
+    xk, spins, values = _spin_identity_brackets(PointEngine(point, params), 4, 3)
+    fresh = [PointEngine(point, params).trace_bracket_value(xk, w2) for w2 in spins]
+    fresh += [PointEngine(point, params).trace_bracket_grad(xk, w2) for w2 in spins]
+    assert values == fresh
+
+
+def test_letter_rests_cache_is_read_only():
+    point, spec, params = make_point(2, 2, 3, seed=1)
+    eng = PointEngine(point, params)
+    ws = spin_trace_word(1, 2, 3, 2)
+    rests = eng._letter_rests(ws)
+    assert rests and eng._letter_rests(ws) is rests
+    assert eng._letter_rests(WordSum(ws.terms)) is rests
+    with pytest.raises(ValueError):
+        rests[0][1][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        rests[0][1].T[0, 0] = 1.0
+
+
 def test_position_spin_bracket_in_matrix_form():
     # the same identity written on the spin matrices, with the scale factor
     # from c' = t * (row of Cm): {tr x^(km), tr a'c'x^(lm+1)}

@@ -94,6 +94,31 @@ def test_sampling_exhausted_coordinates():
         random_coordinates(spec, params, seed=1, max_tries=0)
 
 
+def test_sampling_exhausted_counts_each_rejection():
+    # at (2,2,16) every draw is rejected, mostly by the Degenerate recovery test
+    spec, params = make_setup(2, 2, 16)
+    for tries in (1, 7, 40):
+        with pytest.raises(SamplingExhausted) as info:
+            random_point(spec, params, seed=1, max_tries=tries)
+        rejections = info.value.rejections
+        assert list(rejections) == ["creg screen", "a-row-sum screen", "Degenerate",
+                                    "RegularityViolation", "SingularFactor"]
+        assert sum(rejections.values()) == tries
+        assert info.value.last_error in str(info.value)
+    assert rejections["Degenerate"] > 0
+    assert info.value.last_error.endswith("singular during recovery")
+
+
+def test_sampling_exhausted_with_no_draws():
+    spec, params = make_setup(2, 2, 2)
+    with pytest.raises(SamplingExhausted) as info:
+        random_coordinates(spec, params, seed=1, max_tries=0)
+    assert info.value.rejections == {"creg screen": 0, "a-row-sum screen": 0}
+    assert info.value.last_error is None
+    assert str(info.value) == ("no admissible coordinates after 0 draws "
+                               "(rejected by creg screen: 0, a-row-sum screen: 0)")
+
+
 def test_random_point_is_built_from_random_coordinates():
     # with one try, random_point succeeds only if the first draw builds; then
     # both samplers read the same draw
