@@ -24,7 +24,7 @@ from .families import (EtaPolynomial, TotalMatrices, cy2_rank, family_gradients,
                        reduced_H, reduced_poly, spect_residual, spectral_coeffs,
                        total_matrices)
 from .tadpole import (chain_bracket, closed_form_fg_bracket, coord_bracket,
-                      coordinate_ids, f_value, g_value)
+                      coordinate_ids, g_value)
 from .flows import (FlowSpec, Trajectory, conservation_report, expm, flow_T, flow_Y,
                     flow_Z, ode_oracle, phi1)
 from .reduction import (DualPoint, HElement, dual_params, dual_point, h_act,

@@ -25,11 +25,11 @@ import numpy as np
 
 from . import io as sqio
 from .engine import PointEngine
-from .errors import SpinQuiverError, ZeroParameter
+from .errors import Degenerate, SingularFactor, SpinQuiverError, ZeroParameter
 from .families import family_gradients, family_value, independence_rank
 from .flows import FlowSpec, closed_form_flow, ode_oracle
 from .params import ModelSpec, check_regularity, derive_params
-from .points import (moment_residual, random_coordinates, random_point, spin_data,
+from .points import (inverse, moment_residual, random_coordinates, random_point, spin_data,
                      theta_blocks)
 from .reduction import (dual_moment_residual, dual_point, h_invariant_value,
                         random_h)
@@ -201,8 +201,8 @@ def cmd_verify(args, report, point, params) -> None:
                    tols["theta"] * scale)
     if point.Z is not None:
         sd = spin_data(point, params)
-        pred = params.q[0] * (np.eye(n) + params.t * sd.Am @ sd.Cm
-                              @ np.linalg.inv(point.Z[spec.m - 1]))
+        Zinv = inverse(point.Z[spec.m - 1], SingularFactor, f"Z_{spec.m - 1} is singular")
+        pred = params.q[0] * (np.eye(n) + params.t * sd.Am @ sd.Cm @ Zinv)
         report.add("theta-block-0", "cycle-moment-spin-block",
                    float(np.linalg.norm(theta[0] - pred)), tols["theta"] * scale)
         # spin-data consistency: framing vectors reconstruct from (Am, Cm)
@@ -210,9 +210,10 @@ def cmd_verify(args, report, point, params) -> None:
         acc = np.eye(n, dtype=complex)
         worst = max(np.linalg.norm(west[a] - point.W[a]) for a in range(spec.d))
         for a in range(spec.d):
-            vrec = params.t * sd.Cm[a].reshape(1, n) @ np.linalg.inv(point.Z[spec.m - 1]) @ acc
+            vrec = params.t * sd.Cm[a].reshape(1, n) @ Zinv @ acc
             worst = max(worst, float(np.linalg.norm(vrec - point.V[a])))
-            acc = acc @ np.linalg.inv(np.eye(n) + point.W[a] @ point.V[a])
+            acc = acc @ inverse(np.eye(n) + point.W[a] @ point.V[a], Degenerate,
+                                f"Id + W_{a + 1} V_{a + 1} is singular")
         report.add("spin-data-consistency", "spin-matrix-reconstruction",
                    worst, tols["spin"] * scale)
 

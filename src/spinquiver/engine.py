@@ -58,7 +58,7 @@ from .brackets import (_INVERSE_OF, generator_bracket, phi_word_terms,
                        trace_bracket_symbolic)
 from .errors import SingularFactor
 from .params import ParameterSet
-from .points import RepPoint, _readonly
+from .points import RepPoint, _readonly, inverse
 from .words import WordSum, letter_tail_head, word_tail_head
 
 
@@ -209,10 +209,8 @@ class PointEngine:
         elif kind == "z":
             out = p.require_Z()[letter[1] % self.m]
         elif kind in _INVERSE_OF:
-            try:
-                out = np.linalg.inv(self.letter_block((_INVERSE_OF[kind], letter[1])))
-            except np.linalg.LinAlgError as exc:
-                raise SingularFactor(f"letter {letter} has no inverse") from exc
+            out = inverse(self.letter_block((_INVERSE_OF[kind], letter[1])), SingularFactor,
+                          f"letter {letter} has no inverse")
         elif kind == "v":
             out = p.V[letter[1] - 1]
         elif kind == "w":
@@ -221,10 +219,8 @@ class PointEngine:
             out = self._eye(letter[1])
         elif kind == "uinv":
             v = letter[1]
-            try:
-                out = np.linalg.inv(self._eye(v) + self._word(letter[2])[2])
-            except np.linalg.LinAlgError as exc:
-                raise SingularFactor(f"unit-plus-word letter at vertex {v} singular") from exc
+            out = inverse(self._eye(v) + self._word(letter[2])[2], SingularFactor,
+                          f"unit-plus-word letter at vertex {v} singular")
         else:
             raise ValueError(f"unknown letter {letter!r}")
         self._letter_cache[letter] = out

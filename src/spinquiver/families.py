@@ -30,11 +30,15 @@ from .cyclic import CycleMatrix
 from .engine import Gradient, PointEngine
 from .errors import IllConditioned, SingularFactor
 from .params import ParameterSet
-from .points import (LocalCoordinates, RepPoint, ReducedQuadruple, quadruple_from_coordinates,
-                     theta_blocks)
+from .points import (LocalCoordinates, RepPoint, ReducedQuadruple, inverse,
+                     quadruple_from_coordinates, theta_blocks)
 from .words import WordSum, letter_tail_head
 
 FAMILIES = (1, 2, 3, 4)
+# the rank rule's defaults: singular values above _SV_TOL of the largest count,
+# and the ratio across that cut must reach _GAP_FACTOR
+_SV_TOL = 1e-7
+_GAP_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -176,13 +180,6 @@ def _pencil_poly(M0, M1, j: int) -> EtaPolynomial:
 
 # -- reduced closed forms ----------------------------------------------------
 
-def _inverse(mat: np.ndarray, name: str) -> np.ndarray:
-    try:
-        return np.linalg.inv(mat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFactor(f"the reduced families need an invertible {name}") from exc
-
-
 def _reduced_pencil(kind: str, quad: ReducedQuadruple, params: ParameterSet):
     """G's or H's matrix M(eta) = M0 + eta M1 at a quadruple, as the terms of M0 and of M1.
 
@@ -196,7 +193,8 @@ def _reduced_pencil(kind: str, quad: ReducedQuadruple, params: ParameterSet):
     _pencil_links differentiates them.
     """
     m = params.m
-    Ainv, B, S = _inverse(quad.A, "A"), quad.B, quad.bigA @ quad.bigC
+    Ainv = inverse(quad.A, SingularFactor, "the reduced families need an invertible A")
+    B, S = quad.B, quad.bigA @ quad.bigC
     if kind == "G":
         Bm = [("B", B)] * m
         return ([(1.0 / params.t, [("Ainv", Ainv)] + Bm)],
@@ -206,8 +204,8 @@ def _reduced_pencil(kind: str, quad: ReducedQuadruple, params: ParameterSet):
         right = [("B", B - eye / params.t_at(s)) for s in range(m - 1, -1, -1)]
         right.append(("Ainv", Ainv))
         q0 = params.q[0]
-        return ([(1.0, right)],
-                [(q0, right), (q0, [("S", S), ("Binv", _inverse(B, "B"))] + right)])
+        Binv = inverse(B, SingularFactor, "the reduced families need an invertible B")
+        return [(1.0, right)], [(q0, right), (q0, [("S", S), ("Binv", Binv)] + right)]
     raise ValueError(f"unknown reduced family {kind!r}")
 
 
@@ -285,15 +283,15 @@ class SpectralCoefficients:
         return float(np.max(np.abs(self.Gamma)))
 
 
-def spectral_coeffs(quad: ReducedQuadruple, params: ParameterSet,
-                    solve_tol: float = 1e-8) -> SpectralCoefficients:
+def spectral_coeffs(quad: ReducedQuadruple, params: ParameterSet) -> SpectralCoefficients:
     """Expand the spectral curve det(C + eta T - mu) in both variables.
 
     C = A^(-1) B^m and T = S B^(m-1) A^(-1).  Interpolates the mu-monomial
-    coefficients over eta at roots of unity.
+    coefficients over eta at roots of unity; IllConditioned if the solve
+    misses its samples by more than 1e-8 of their scale.
     """
     m = params.m
-    Ainv = _inverse(quad.A, "A")
+    Ainv = inverse(quad.A, SingularFactor, "the reduced families need an invertible A")
     S = quad.bigA @ quad.bigC
     C = Ainv @ np.linalg.matrix_power(quad.B, m)
     T = S @ np.linalg.matrix_power(quad.B, m - 1) @ Ainv
@@ -310,7 +308,7 @@ def spectral_coeffs(quad: ReducedQuadruple, params: ParameterSet,
     vander = np.vander(nodes, n + 1, increasing=True)
     Gamma = np.linalg.solve(vander, samples)
     scale = max(1.0, float(np.max(np.abs(samples))))
-    if np.max(np.abs(vander @ Gamma - samples)) > solve_tol * scale:
+    if np.max(np.abs(vander @ Gamma - samples)) > 1e-8 * scale:
         raise IllConditioned("spectral-curve interpolation did not converge")
     return SpectralCoefficients(Gamma=Gamma)
 
@@ -450,8 +448,8 @@ def coefficient_jacobian(coords: LocalCoordinates, family: str,
 
 
 def independence_rank(coords: LocalCoordinates, family: str, params: ParameterSet,
-                      step: float = 1e-6, sv_tol: float = 1e-7,
-                      gap_factor: float = 10.0, method: str = "analytic"):
+                      step: float = 1e-6, sv_tol: float = _SV_TOL,
+                      gap_factor: float = _GAP_FACTOR, method: str = "analytic"):
     """Numerical rank of the coefficient family on the 2nd free coordinates.
 
     With method="analytic" (default) the complex Jacobian comes from exact
@@ -577,8 +575,7 @@ def _flatten_grads(eng: PointEngine, grads: dict) -> np.ndarray:
                            for g in keys])
 
 
-def cy2_rank(point: RepPoint, U: str, sv_tol: float = 1e-7,
-             gap_factor: float = 10.0, engine: PointEngine | None = None):
+def cy2_rank(point: RepPoint, U: str, engine: PointEngine | None = None):
     """Rank of the 2n functions tr U^(jm), tr(W_1 V_1 U^(jm)) on matrix entries.
 
     Uses the exact gradients as Jacobian rows.  Returns
@@ -591,7 +588,7 @@ def cy2_rank(point: RepPoint, U: str, sv_tol: float = 1e-7,
         K = j * eng.m if U in ("x", "y", "z") else j
         rows.append(_flatten_grads(eng, power_trace_gradients(point, U, K, engine=eng)))
         rows.append(_flatten_grads(eng, qu_gradients(point, 1, 1, j, U, engine=eng)))
-    return _decide_rank(np.array(rows), sv_tol, gap_factor)
+    return _decide_rank(np.array(rows), _SV_TOL, _GAP_FACTOR)
 
 
 def spect_residual(point: RepPoint, params: ParameterSet, U: str) -> float:
@@ -606,19 +603,13 @@ def spect_residual(point: RepPoint, params: ParameterSet, U: str) -> float:
     if U == "z":
         Mmat = point.X[0]
     elif U == "y":
-        try:
-            Mmat = point.X[0] + np.linalg.inv(point.Y[0])
-        except np.linalg.LinAlgError as exc:
-            raise SingularFactor("Y_0 not invertible") from exc
+        Mmat = point.X[0] + inverse(point.Y[0], SingularFactor, "Y_0 not invertible")
     else:
         raise ValueError("U must be 'y' or 'z'")
     diag = _u_cycle(point, U).power(m)
     blk0, blk1 = diag.block(0, 0), diag.block(1 % m, 1 % m)
-    try:
-        lhs = Mmat @ blk1 @ np.linalg.inv(Mmat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFactor("conjugating block not invertible") from exc
-    rhs = params.t * framing_product(point, reverse=True) @ blk0
+    lhs = Mmat @ blk1 @ inverse(Mmat, SingularFactor, "conjugating block not invertible")
+    rhs = params.t * framing_product(point) @ blk0
     return float(np.linalg.norm(lhs - rhs))
 
 

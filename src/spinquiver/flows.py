@@ -52,7 +52,7 @@ import numpy as np
 from .cyclic import CycleMatrix, _shifted, power_by_squaring
 from .errors import SingularFactor
 from .params import ParameterSet
-from .points import RepPoint
+from .points import RepPoint, inverse
 
 _COND_LIMIT = 1e8
 
@@ -99,16 +99,10 @@ class FlowSpec:
 
 
 def _point_with_XZ(point: RepPoint, Xb, Zb) -> RepPoint:
-    spec = point.spec
-    Y = []
-    for s in range(spec.m):
-        try:
-            Y.append(Zb[s] - np.linalg.inv(Xb[s]))
-        except np.linalg.LinAlgError as exc:
-            raise SingularFactor(
-                f"X_{s} singular, so Y_{s} = Z_{s} - X_{s}^(-1) is undefined") from exc
+    Y = np.array(Zb) - inverse(np.array(Xb), SingularFactor,
+                               "X_{s} singular, so Y_{s} = Z_{s} - X_{s}^(-1) is undefined")
     # keep the conserved matrix bit-identical rather than re-derived
-    return RepPoint.make(spec, Xb, Y, point.V, point.W, Z=Zb)
+    return RepPoint.make(point.spec, Xb, Y, point.V, point.W, Z=Zb)
 
 
 def flow_Z(point: RepPoint, k: int, time: complex) -> RepPoint:
@@ -149,14 +143,9 @@ def flow_T(point: RepPoint, k: int, time: complex) -> RepPoint:
 
 def _point_with_XT(point: RepPoint, Xb, Tb) -> RepPoint:
     """The point with blocks X_s and Y_s = X_s^(-1) (T_s - 1), where T = 1 + XY."""
-    eye, Y = np.eye(point.spec.n), []
-    for s in range(point.spec.m):
-        try:
-            Y.append(np.linalg.inv(Xb[s]) @ (Tb[s] - eye))
-        except np.linalg.LinAlgError as exc:
-            raise SingularFactor(
-                f"X_{s} singular, so Y_{s} = X_{s}^(-1) (T_{s} - 1) is undefined") from exc
-    return RepPoint.make(point.spec, Xb, Y, point.V, point.W)
+    Xinv = inverse(np.array(Xb), SingularFactor,
+                   "X_{s} singular, so Y_{s} = X_{s}^(-1) (T_{s} - 1) is undefined")
+    return RepPoint.make(point.spec, Xb, Xinv @ (Tb - np.eye(point.spec.n)), point.V, point.W)
 
 
 # -- RK4 oracle ---------------------------------------------------------------

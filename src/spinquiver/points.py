@@ -5,6 +5,13 @@ around the cycle, and d row/column vectors for the framing arrows at vertex 0.
 Points are built either directly from matrices or from the local spin
 Ruijsenaars-Schneider coordinates (x, a, c) through the diagonal normal form,
 in which case the multiplicative moment conditions hold by construction.
+
+Every matrix inverse that can fail at a point goes through inverse, which
+turns numpy's LinAlgError into the caller's typed error; only four
+primitives call np.linalg.inv directly, because their LinAlgError is part of
+their contract: RepPoint.make (a singular X leaves Z None), CycleMatrix.inv
+and flows._inverse_into (their callers catch it) and flows.expm (it falls
+back to Pade).
 """
 
 from __future__ import annotations
@@ -19,12 +26,29 @@ from .errors import (Degenerate, RegularityViolation, SamplingExhausted,
 from .params import ModelSpec, ParameterSet
 
 _DET_TOL = 1e-12
+_QUAD_TOL = 1e-9    # relative residual reduced_quadruple allows in its commutation identity
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
     return out
+
+
+def inverse(mat: np.ndarray, error: type, what: str) -> np.ndarray:
+    """np.linalg.inv(mat), or error(what) raised from numpy's LinAlgError.
+
+    On an (m, n, n) stack, {s} in what names the first block inv rejects:
+    the first with an exact zero pivot, which slogdet reports as sign 0.
+    """
+    try:
+        return np.linalg.inv(mat)
+    except np.linalg.LinAlgError as exc:
+        if np.ndim(mat) == 3:
+            with np.errstate(all="ignore"):
+                sign = np.linalg.slogdet(mat)[0]
+            what = what.format(s=int(np.argmax(sign == 0)))
+        raise error(what) from exc
 
 
 def _det_ok(mat: np.ndarray) -> bool:
@@ -214,10 +238,7 @@ def point_from_coordinates(coords: LocalCoordinates, params: ParameterSet,
     Am = Ainv @ coords.a
     Cm = np.array(coords.c)
 
-    try:
-        Zm1_inv = np.linalg.inv(Z[m - 1])
-    except np.linalg.LinAlgError as exc:
-        raise SingularFactor("Z_{m-1} is singular; cannot recover framing") from exc
+    Zm1_inv = inverse(Z[m - 1], SingularFactor, "Z_{m-1} is singular; cannot recover framing")
 
     W = [Am[:, a].reshape(n, 1) for a in range(d)]
     V = []
@@ -226,11 +247,12 @@ def point_from_coordinates(coords: LocalCoordinates, params: ParameterSet,
         v = t * Cm[a].reshape(1, n) @ Zm1_inv @ Minv
         V.append(v)
         omega = np.eye(n) + W[a] @ v
+        singular = f"Id + W_{a + 1} V_{a + 1} singular during recovery"
         if not _det_ok(omega):
-            raise Degenerate(f"Id + W_{a + 1} V_{a + 1} singular during recovery")
-        Minv = Minv @ np.linalg.inv(omega)
+            raise Degenerate(singular)
+        Minv = Minv @ inverse(omega, Degenerate, singular)
 
-    Y = [Z[s] - np.linalg.inv(X[s]) for s in range(m)]
+    Y = np.array(Z) - inverse(np.array(X), SingularX, "X_{s} is singular")
     point = RepPoint.make(spec, X, Y, V, W)
     point.validate()
     return point
@@ -296,12 +318,11 @@ def random_coordinates(spec: ModelSpec, params: ParameterSet, seed: int,
     raise SamplingExhausted(f"no admissible coordinates after {max_tries} draws", rejected)
 
 
-def framing_product(point: RepPoint, reverse: bool = True) -> np.ndarray:
-    """Product of the factors Id + W_a V_a; reversed order (a = d..1) by default."""
+def framing_product(point: RepPoint) -> np.ndarray:
+    """Product of the factors Id + W_a V_a in reversed order, a = d..1."""
     n = point.spec.n
     out = np.eye(n, dtype=complex)
-    indices = range(point.spec.d - 1, -1, -1) if reverse else range(point.spec.d)
-    for a in indices:
+    for a in range(point.spec.d - 1, -1, -1):
         out = out @ (np.eye(n) + point.W[a] @ point.V[a])
     return out
 
@@ -311,17 +332,9 @@ def theta_blocks(point: RepPoint) -> np.ndarray:
 
     These are the blocks of the cycle moment map Theta = (1 + XY)(1 + YX)^(-1).
     """
-    n, m = point.spec.n, point.spec.m
-    eye = np.eye(n)
-    theta = np.empty((m, n, n), dtype=complex)
-    for s in range(m):
-        prev = (s - 1) % m
-        try:
-            theta[s] = (eye + point.X[s] @ point.Y[s]) @ np.linalg.inv(
-                eye + point.Y[prev] @ point.X[prev])
-        except np.linalg.LinAlgError as exc:
-            raise SingularFactor(f"Id + Y_{prev} X_{prev} is singular") from exc
-    return theta
+    X, Y, eye = np.array(point.X), np.array(point.Y), np.eye(point.spec.n)
+    inv_yx = inverse(eye + Y @ X, SingularFactor, "Id + Y_{s} X_{s} is singular")
+    return (eye + X @ Y) @ inv_yx[np.arange(-1, point.spec.m - 1)]
 
 
 def moment_residual(point: RepPoint, params: ParameterSet):
@@ -335,7 +348,7 @@ def moment_residual(point: RepPoint, params: ParameterSet):
     residuals = []
     for s in range(spec.m):
         if s == 0:
-            rhs = params.q[0] * framing_product(point, reverse=True)
+            rhs = params.q[0] * framing_product(point)
         else:
             rhs = params.q[s] * np.eye(spec.n)
         residuals.append(float(np.linalg.norm(theta[s] - rhs)))
@@ -350,15 +363,10 @@ def gauge_act(g, point: RepPoint) -> RepPoint:
     """Act by (g_s) in the gauge group: X_s -> g_s X_s g_{s+1}^(-1), etc."""
     spec = point.spec
     m = spec.m
-    g = [np.asarray(gs, dtype=complex) for gs in g]
+    g = np.array(g, dtype=complex)
     if len(g) != m:
         raise ValueError("need one gauge matrix per cycle vertex")
-    ginv = []
-    for s, gs in enumerate(g):
-        try:
-            ginv.append(np.linalg.inv(gs))
-        except np.linalg.LinAlgError as exc:
-            raise SingularGauge(f"gauge matrix g_{s} is singular") from exc
+    ginv = inverse(g, SingularGauge, "gauge matrix g_{s} is singular")
     X = [g[s] @ point.X[s] @ ginv[(s + 1) % m] for s in range(m)]
     Y = [g[(s + 1) % m] @ point.Y[s] @ ginv[s] for s in range(m)]
     V = [point.V[a] @ ginv[0] for a in range(spec.d)]
@@ -380,23 +388,19 @@ def spin_data(point: RepPoint, params: ParameterSet) -> SpinData:
     return SpinData(Am=_readonly(Am), Cm=_readonly(Cm), S=_readonly(Am @ Cm))
 
 
-def reduced_quadruple(point: RepPoint, params: ParameterSet,
-                      check_tol: float = 1e-9) -> ReducedQuadruple:
+def reduced_quadruple(point: RepPoint, params: ParameterSet) -> ReducedQuadruple:
     """Normalize X_0 = ... = X_{m-2} = Id and return the quadruple (A, B, bigA, bigC).
 
     Closed form of the gauge g_0 = Id, g_{s+1} = X_0...X_s, with A^(-1) its only
     inverse: A = X_0 X_1...X_{m-1} (left to right), B = (Id + X_0 Y_0)/q_0, bigA =
     A [W_1...W_d], bigC_a = V_a (Id + W_{a-1} V_{a-1})...(Id + W_1 V_1) Z'/t, where
     Z' = (Id + Y_{m-1} X_{m-1}) A^(-1).  SingularX if A is singular; Degenerate if
-    the commutation identity q_0 B A^(-1) = q_0 t A^(-1)(B + bigA bigC) misses check_tol.
+    the commutation identity q_0 B A^(-1) = q_0 t A^(-1)(B + bigA bigC) misses _QUAD_TOL.
     """
     if point.Z is None:
         raise SingularX("point has a singular X_s")
     A = reduce(np.matmul, point.X)
-    try:
-        Ainv = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularX("the cycle product A = X_0 ... X_{m-1} is singular") from exc
+    Ainv = inverse(A, SingularX, "the cycle product A = X_0 ... X_{m-1} is singular")
     eye = np.eye(point.spec.n)
     B = (eye + point.X[0] @ point.Y[0]) / params.q[0]
     bigA = A @ np.hstack(point.W)
@@ -410,9 +414,9 @@ def reduced_quadruple(point: RepPoint, params: ParameterSet,
     rhs = params.q[0] * params.t * (Ainv @ B + Ainv @ bigA @ bigC)
     scale = max(1.0, np.linalg.norm(lhs))
     residual = np.linalg.norm(lhs - rhs)
-    if residual > check_tol * scale:
+    if residual > _QUAD_TOL * scale:
         raise Degenerate(f"reduced quadruple fails the commutation identity: residual "
-                         f"{residual:.3e} > tol {check_tol:.1e} x scale {scale:.3e}")
+                         f"{residual:.3e} > tol {_QUAD_TOL:.1e} x scale {scale:.3e}")
     return ReducedQuadruple(A=_readonly(A), B=_readonly(B),
                             bigA=_readonly(bigA), bigC=_readonly(bigC))
 
@@ -431,7 +435,7 @@ def diagonalize_quadruple(quad: ReducedQuadruple) -> ReducedQuadruple:
     vals, vecs = np.linalg.eig(quad.A)
     order = np.lexsort((vals.imag, vals.real))
     vals, vecs = vals[order], vecs[:, order]
-    vinv = np.linalg.inv(vecs)
+    vinv = inverse(vecs, SingularFactor, "the eigenvectors of A are not independent")
     return ReducedQuadruple(
         A=_readonly(np.diag(vals)),
         B=_readonly(vinv @ quad.B @ vecs),

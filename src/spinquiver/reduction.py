@@ -15,10 +15,11 @@ import numpy as np
 
 from .errors import BranchInvalid, SingularH, SingularX
 from .params import ModelSpec, ParameterSet, derive_params
-from .points import (RepPoint, ReducedQuadruple, SpinData, _readonly, gauge_act,
+from .points import (RepPoint, ReducedQuadruple, SpinData, _readonly, gauge_act, inverse,
                      reduced_quadruple)
 
 _ROWSUM_TOL = 1e-12
+_LOCUS_TOL = 1e-10      # relative tolerance of the free-action and normal-form tests
 
 
 @dataclass(frozen=True)
@@ -43,17 +44,17 @@ class HElement:
         return self.h.shape[0]
 
     def inv(self) -> "HElement":
-        return HElement.make(np.linalg.inv(self.h))
+        return HElement.make(inverse(self.h, SingularH, "reduction-group element is singular"))
 
     def __matmul__(self, other: "HElement") -> "HElement":
         return HElement.make(self.h @ other.h)
 
 
-def random_h(d: int, seed: int, spread: float = 0.5) -> HElement:
+def random_h(d: int, seed: int) -> HElement:
     """Random group element: identity plus a row-sum-zero perturbation."""
     rng = np.random.Generator(np.random.Philox(seed))
     for _ in range(100):
-        noise = spread * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        noise = 0.5 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
         noise -= noise.sum(axis=1)[:, None] / d
         h = np.eye(d) + noise
         if abs(np.linalg.det(h)) > 1e-6:
@@ -63,7 +64,7 @@ def random_h(d: int, seed: int, spread: float = 0.5) -> HElement:
 
 def h_act(h: HElement, data):
     """Right action on spin data: Am -> Am h, Cm -> h^(-1) Cm; X, Z untouched."""
-    hinv = np.linalg.inv(h.h)
+    hinv = inverse(h.h, SingularH, "reduction-group element is singular")
     if isinstance(data, SpinData):
         Am = data.Am @ h.h
         Cm = hinv @ data.Cm
@@ -75,7 +76,7 @@ def h_act(h: HElement, data):
     raise TypeError("h_act expects SpinData or ReducedQuadruple")
 
 
-def minors_nonzero(Amat: np.ndarray, tol: float = 1e-10) -> bool:
+def minors_nonzero(Amat: np.ndarray) -> bool:
     """All d x d minors of the n x d matrix are nonzero (proper-action locus)."""
     Amat = np.asarray(Amat)
     n, d = Amat.shape
@@ -83,15 +84,15 @@ def minors_nonzero(Amat: np.ndarray, tol: float = 1e-10) -> bool:
         raise ValueError("need d <= n")
     scale = max(1.0, np.linalg.norm(Amat)) ** d
     for rows in combinations(range(n), d):
-        if abs(np.linalg.det(Amat[list(rows), :])) <= tol * scale:
+        if abs(np.linalg.det(Amat[list(rows), :])) <= _LOCUS_TOL * scale:
             return False
     return True
 
 
-def full_rank_d(Amat: np.ndarray, tol: float = 1e-10) -> bool:
+def full_rank_d(Amat: np.ndarray) -> bool:
     """Weaker free-action test: the n x d matrix has rank d."""
     svals = np.linalg.svd(np.asarray(Amat), compute_uv=False)
-    return bool(svals[-1] > tol * max(1.0, svals[0]))
+    return bool(svals[-1] > _LOCUS_TOL * max(1.0, svals[0]))
 
 
 # -- invariant words -----------------------------------------------------------
@@ -136,15 +137,15 @@ def h_invariant_value(point: RepPoint, word, params: ParameterSet,
 
 # -- gauge normal forms ---------------------------------------------------------
 
-def is_diagonal_normal_form(point: RepPoint, tol: float = 1e-10) -> bool:
-    """X_s = Id for s <= m-2 and X_{m-1} diagonal, up to tol."""
+def is_diagonal_normal_form(point: RepPoint) -> bool:
+    """X_s = Id for s <= m-2 and X_{m-1} diagonal, up to _LOCUS_TOL."""
     m, n = point.spec.m, point.spec.n
     eye = np.eye(n)
     for s in range(m - 1):
-        if np.linalg.norm(point.X[s] - eye) > tol:
+        if np.linalg.norm(point.X[s] - eye) > _LOCUS_TOL:
             return False
     off = point.X[m - 1] - np.diag(np.diag(point.X[m - 1]))
-    return bool(np.linalg.norm(off) <= tol * max(1.0, np.linalg.norm(point.X[m - 1])))
+    return bool(np.linalg.norm(off) <= _LOCUS_TOL * max(1.0, np.linalg.norm(point.X[m - 1])))
 
 
 def lambda_gauge(point: RepPoint, params: ParameterSet, branch=None) -> RepPoint:
@@ -231,7 +232,7 @@ class DualPoint:
     def as_rep_point(self, d: int = 1) -> RepPoint:
         """Embed as a RepPoint with zero framing vectors (bracket evaluation only)."""
         m, n = len(self.X), self.X[0].shape[0]
-        Y = [self.Z[s] - np.linalg.inv(self.X[s]) for s in range(m)]
+        Y = np.array(self.Z) - inverse(np.array(self.X), SingularX, "X-hat_{s} is singular")
         V, W = [np.zeros((1, n))] * d, [np.zeros((n, 1))] * d
         return RepPoint.make(ModelSpec(m=m, d=d, n=n), self.X, Y, V, W, Z=self.Z)
 

@@ -16,6 +16,8 @@ from .brackets import ordering_sign
 from .params import ParameterSet
 from .points import LocalCoordinates, ReducedQuadruple, lax_matrix
 
+_FD_STEP = 1e-6
+
 
 def coordinate_ids(n: int, d: int):
     """Every coordinate label of the chart, x first, then a, then c."""
@@ -104,12 +106,11 @@ def _table_bracket(coords, params, u, v) -> complex:
     raise ValueError(f"no bracket rule for kinds ({ku}, {kv})")
 
 
-def chain_bracket(coords: LocalCoordinates, params: ParameterSet, fn_f, fn_g,
-                  step: float = 1e-6) -> complex:
+def chain_bracket(coords: LocalCoordinates, params: ParameterSet, fn_f, fn_g) -> complex:
     """{F, G} by the chain rule over the chart with finite-difference gradients."""
     ids = coordinate_ids(coords.n, coords.d)
-    grad_f = _fd_gradient(coords, fn_f, ids, step)
-    grad_g = _fd_gradient(coords, fn_g, ids, step)
+    grad_f = _fd_gradient(coords, fn_f, ids)
+    grad_g = _fd_gradient(coords, fn_g, ids)
     total = 0.0 + 0.0j
     for iu, u in enumerate(ids):
         if grad_f[iu] == 0:
@@ -121,12 +122,13 @@ def chain_bracket(coords: LocalCoordinates, params: ParameterSet, fn_f, fn_g,
     return complex(total)
 
 
-def _fd_gradient(coords, fn, ids, step):
+def _fd_gradient(coords, fn, ids):
+    """Central differences with step _FD_STEP in every chart coordinate."""
     out = np.zeros(len(ids), dtype=complex)
     for k, label in enumerate(ids):
-        plus = _shift(coords, label, step)
-        minus = _shift(coords, label, -step)
-        out[k] = (fn(plus) - fn(minus)) / (2 * step)
+        plus = _shift(coords, label, _FD_STEP)
+        minus = _shift(coords, label, -_FD_STEP)
+        out[k] = (fn(plus) - fn(minus)) / (2 * _FD_STEP)
     return out
 
 
@@ -149,10 +151,6 @@ def g_value(quad: ReducedQuadruple, k: int, alpha: int, beta: int) -> complex:
     """tr(bigA E_{alpha beta} bigC A^k)."""
     Ak = np.linalg.matrix_power(quad.A, k)
     return complex(quad.bigC[beta - 1, :] @ Ak @ quad.bigA[:, alpha - 1])
-
-
-def f_value(quad: ReducedQuadruple, k: int) -> complex:
-    return complex(np.trace(np.linalg.matrix_power(quad.A, k)))
 
 
 def _aec(quad, alpha, beta) -> np.ndarray:

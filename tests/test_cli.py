@@ -1,11 +1,16 @@
 """End-to-end CLI checks: exit codes, file schemas, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinquiver
 from spinquiver.cli import main
 from spinquiver import io as sqio
 
@@ -243,6 +248,33 @@ def test_rank_with_singular_lax_matrix_exits_1(tmp_path, capsys):
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
     assert errors == ["error: the reduced families need an invertible B"]
+
+
+def _singular_verify_point(case):
+    """A (1,1,2) point file on which one of verify's inverses does not exist."""
+    X = np.array([[1.3, 0.4], [0.2, 2.1]], dtype=complex)
+    if case == "Z":     # Y = -X^(-1), so Z_0 = Y_0 + X_0^(-1) = 0
+        Y, V, W = -np.linalg.inv(X), [[0.3, 0.5]], [[0.2], [0.1]]
+    else:               # Id + W_1 V_1 = diag(0, 1)
+        Y, V, W = np.zeros((2, 2)), [[1.0, 0.0]], [[-1.0], [0.0]]
+    return {"spec": {"m": 1, "d": 1, "n": 2}, "q": [[0.7, 0.2]],
+            "X": [sqio.encode_matrix(X)], "Y": [sqio.encode_matrix(Y)],
+            "V": [sqio.encode_matrix(V)], "W": [sqio.encode_matrix(W)]}
+
+
+@pytest.mark.parametrize("case, message", [("Z", "error: Z_0 is singular"),
+                                           ("WV", "error: Id + W_1 V_1 is singular")])
+def test_verify_reports_a_singular_inverse(tmp_path, case, message):
+    path = str(tmp_path / "pt.json")
+    sqio.write_json(path, _singular_verify_point(case))
+    src = str(Path(spinquiver.__file__).resolve().parent.parent)
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path_var)
+    out = subprocess.run([sys.executable, "-m", "spinquiver.cli", "verify", path],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert [line for line in out.stderr.splitlines() if line.startswith("error:")] == [message]
 
 
 def test_coords_round_trip_io(tmp_path):

@@ -1,11 +1,16 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spinquiver import (LocalCoordinates, ModelSpec, derive_params, gauge_act,
                         moment_residual, point_from_coordinates, random_coordinates,
                         random_point, reduced_quadruple, spin_data)
-from spinquiver.errors import Degenerate, RegularityViolation, SamplingExhausted, SingularX
-from spinquiver.points import RepPoint, quadruple_from_coordinates
+import spinquiver
+from spinquiver.errors import (Degenerate, RegularityViolation, SamplingExhausted, SingularGauge,
+                               SingularX)
+from spinquiver.points import RepPoint, inverse, quadruple_from_coordinates
 
 from conftest import make_point, make_setup, reduced_quadruple_by_gauge
 
@@ -51,7 +56,6 @@ def test_construction_soundness_bulk():
 
 
 def test_singular_gauge_rejected():
-    from spinquiver.errors import SingularGauge
     point, spec, params = make_point(2, 2, 2, seed=1)
     g = [np.zeros((spec.n, spec.n)), np.eye(spec.n)]
     with pytest.raises(SingularGauge):
@@ -323,3 +327,44 @@ def test_trace_observables_gauge_invariant(rng):
             w = cycle_power_sum(kind, k, spec.m)
             v0, v1 = e0.trace_wordsum(w), e1.trace_wordsum(w)
             assert abs(v0 - v1) < 1e-9 * max(1, abs(v0))
+
+
+def test_inverse_is_numpy_inv_bit_for_bit(rng):
+    stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    assert np.array_equal(inverse(stack[1], SingularX, "unused"), np.linalg.inv(stack[1]))
+    assert np.array_equal(inverse(stack, SingularX, "X_{s} is singular"), np.linalg.inv(stack))
+
+
+def test_inverse_names_the_first_singular_block(rng):
+    stack = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    stack[2] = stack[3] = 0.0
+    with pytest.raises(SingularGauge, match=r"^g_2 is singular$") as info:
+        inverse(stack, SingularGauge, "g_{s} is singular")
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    # a single matrix's message is left as given, braces included
+    with pytest.raises(SingularX, match=r"^Z_\{m-1\} is singular$") as info:
+        inverse(stack[3], SingularX, "Z_{m-1} is singular")
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+# the primitives whose LinAlgError is part of their contract call np.linalg.inv directly
+_RAW_INVERSES = {("points.py", "inverse"), ("points.py", "make"), ("cyclic.py", "inv"),
+                 ("flows.py", "_inverse_into"), ("flows.py", "expm")}
+
+
+def _raw_inverse_sites(node, module, func=None):
+    """(module, innermost enclosing function) of each np.linalg.inv under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    if (isinstance(node, ast.Attribute) and node.attr == "inv"
+            and ast.unparse(node.value) == "np.linalg"):
+        yield module, func
+    for child in ast.iter_child_nodes(node):
+        yield from _raw_inverse_sites(child, module, func)
+
+
+def test_every_other_inverse_goes_through_inverse():
+    found = set()
+    for path in Path(spinquiver.__file__).parent.glob("*.py"):
+        found.update(_raw_inverse_sites(ast.parse(path.read_text()), path.name))
+    assert found == _RAW_INVERSES
