@@ -26,13 +26,13 @@ import numpy as np
 from . import io as sqio
 from .engine import PointEngine
 from .errors import Degenerate, SingularFactor, SpinQuiverError, ZeroParameter
-from .families import family_gradients, family_value, independence_rank
-from .flows import FlowSpec, closed_form_flow, ode_oracle
+from .families import FAMILY_KIND, family_gradients, family_value, independence_rank
+from .flows import HAMILTONIANS, FlowSpec, closed_form_flow, ode_oracle
 from .params import ModelSpec, check_regularity, derive_params
-from .points import (inverse, moment_residual, random_coordinates, random_point, spin_data,
-                     theta_blocks)
+from .points import (cycle_period, inverse, moment_residual, random_coordinates, random_point,
+                     spin_data, theta_blocks)
 from .reduction import (dual_moment_residual, dual_point, h_invariant_value,
-                        random_h)
+                        parse_invariant_word, random_h)
 from .words import cycle_power_sum, parse_word, spin_trace_word
 
 DEFAULT_TOLS = {
@@ -283,15 +283,23 @@ def cmd_bracket(args, report, point, params) -> None:
     sys.stdout.write("\n")
 
 
+def _check_rank(args) -> None:
+    """Replace the --coords path by the coordinates it holds, whose n and d must be --spec's."""
+    if args.coords:
+        path, spec = args.coords, args.spec
+        try:
+            args.coords = sqio.coords_from_dict(sqio.read_json(path))
+        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read coordinates file {path}: {exc}") from exc
+        n, d = args.coords.n, args.coords.d
+        if (n, d) != (spec.n, spec.d):
+            raise UsageError(f"coordinates file {path} has n = {n}, d = {d}; "
+                             f"--spec {spec.m},{spec.d},{spec.n} needs n = {spec.n}, d = {spec.d}")
+
+
 def cmd_rank(args, report, point, params) -> None:
     spec = args.spec
-    if args.coords:
-        try:
-            coords = sqio.coords_from_dict(sqio.read_json(args.coords))
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read coordinates file {args.coords}: {exc}") from exc
-    else:
-        coords = random_coordinates(spec, params, args.seed)
+    coords = args.coords or random_coordinates(spec, params, args.seed)
     expected = spec.n * spec.d - spec.d * (spec.d - 1) // 2
     observed, svals = independence_rank(coords, args.family, params)
     _write(args, {"expected": expected, "observed": observed,
@@ -303,13 +311,14 @@ def cmd_rank(args, report, point, params) -> None:
 def _check_flow(args) -> None:
     """Build the flow's FlowSpec from its options into args.flow; no point is needed."""
     m = args.spec.m
-    k = args.k if args.k is not None else (1 if args.ham == "trT" else m)
+    step = cycle_period(HAMILTONIANS[args.ham].kind, m)
+    k = args.k if args.k is not None else step
     try:
         args.flow = FlowSpec(hamiltonian=args.ham, k=k, time=args.time, eta=args.eta,
                              steps=args.steps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.ham != "trT" and k % m:
+    if k % step:
         raise UsageError(f"--ham {args.ham} needs --k a multiple of m = {m}, got {k}")
 
 
@@ -318,8 +327,9 @@ def cmd_flow(args, report, point, params) -> None:
     fs = args.flow
     traj = ode_oracle(point, fs, params)
 
-    fam = {"trZ": 4, "trY": 3, "trT": 2}[args.ham]
-    js = [spec.m, 2 * spec.m] if fam != 2 else [1, 2]
+    kind = HAMILTONIANS[fs.hamiltonian].kind
+    fam = next(f for f, f_kind in FAMILY_KIND.items() if f_kind == kind)
+    js = [j * cycle_period(kind, spec.m) for j in (1, 2)]
     names = [f"family{fam}-j{j}" for j in js]
     series = {name: [family_value(p, fam, j, fs.eta) for p in traj.points]
               for name, j in zip(names, js)}
@@ -358,6 +368,13 @@ def cmd_flow(args, report, point, params) -> None:
         gap = max(np.linalg.norm(a - b) for a, b in zip(fine.X, closed.X))
         report.add("closed-form-agreement", "explicit-flow-solution",
                    gap, max(sensitivity, 1e-9 * point.norm_scale()))
+
+
+def _check_reduce(args) -> None:
+    try:
+        parse_invariant_word(args.word or "")
+    except ValueError as exc:
+        raise UsageError(f"cannot parse --word {args.word!r}: {exc}") from exc
 
 
 def cmd_reduce(args, report, point, params) -> None:
@@ -463,7 +480,7 @@ COMMANDS = {
     "rank": Command("independent-function count of a reduced family", cmd_rank,
                     DRAW + (OUT, ("--family", dict(default="G", choices=("G", "H"))),
                             ("--coords", dict(default=None, help="coordinates JSON file"))),
-                    "params", "stdout"),
+                    "params", "stdout", (), _check_rank),
     "bracket": Command("ad-hoc trace bracket of two token words", cmd_bracket,
                        DRAW + (("w1", dict(help="first word, e.g. x0.x1")),
                                ("w2", dict(help="second word, e.g. w1.v1.z1.x1")),
@@ -472,7 +489,7 @@ COMMANDS = {
                        "point", None),
     "flow": Command("integrate a flow and report conservation", cmd_flow,
                     DRAW + (OUT,
-                            ("--ham", dict(default="trT", choices=("trZ", "trY", "trT"))),
+                            ("--ham", dict(default="trT", choices=tuple(HAMILTONIANS))),
                             ("--k", dict(type=int, default=None)),
                             ("--time", dict(type=float, default=1.0)),
                             ("--eta", dict(type=complex, default=0.0)),
@@ -480,7 +497,7 @@ COMMANDS = {
                     "point", "stdout", ("drift",), _check_flow),
     "reduce": Command("evaluate reduction-invariant words", cmd_reduce,
                       DRAW + (OUT, ("--word", dict(default=None, help="extra word over X, Z, S"))),
-                      "point", "stdout"),
+                      "point", "stdout", (), _check_reduce),
     "dual": Command("emit the dual point and swap residuals", cmd_dual,
                     DRAW + (OUT,), "point", "stdout", ("duality",)),
     "report": Command("run the default verification suites", cmd_report,

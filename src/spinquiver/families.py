@@ -30,8 +30,8 @@ from .cyclic import CycleMatrix
 from .engine import Gradient, PointEngine
 from .errors import IllConditioned, SingularFactor
 from .params import ParameterSet
-from .points import (LocalCoordinates, RepPoint, ReducedQuadruple, inverse,
-                     quadruple_from_coordinates, theta_blocks)
+from .points import (LocalCoordinates, RepPoint, ReducedQuadruple, cycle_matrix, cycle_period,
+                     inverse, quadruple_from_coordinates, theta_blocks)
 from .words import WordSum, letter_tail_head
 
 FAMILIES = (1, 2, 3, 4)
@@ -71,36 +71,22 @@ class EtaPolynomial:
 def total_matrices(point: RepPoint) -> TotalMatrices:
     """Dense Xt, Yt, Zt and the block-diagonal Theta, built from the graded blocks."""
     theta = CycleMatrix(0, theta_blocks(point)).dense()
-    return TotalMatrices(Xt=_u_cycle(point, "x").dense(), Yt=_u_cycle(point, "y").dense(),
-                         Zt=None if point.Z is None else _u_cycle(point, "z").dense(),
+    return TotalMatrices(Xt=cycle_matrix(point, "x").dense(), Yt=cycle_matrix(point, "y").dense(),
+                         Zt=None if point.Z is None else cycle_matrix(point, "z").dense(),
                          Theta=theta)
 
 
-def _u_cycle(point: RepPoint, kind: str) -> CycleMatrix:
-    """The cycle matrix U of kind x, y, z or t = 1 + XY."""
-    if kind == "x":
-        return CycleMatrix.of_letters("x", point.X)
-    if kind == "y":
-        return CycleMatrix.of_letters("y", point.Y)
-    if kind == "z":
-        return CycleMatrix.of_letters("z", point.require_Z())
-    if kind == "t":
-        return 1 + _u_cycle(point, "x") @ _u_cycle(point, "y")
-    raise ValueError(f"unknown cycle kind {kind!r}")
-
-
-# the cycle kind of U in each family matrix (1 + eta T) U
-_FAMILY_U = {1: "x", 2: "t", 3: "y", 4: "z"}
+# the cycle kind (points.cycle_matrix) of U in each family matrix (1 + eta T) U
+FAMILY_KIND = {1: "x", 2: "t", 3: "y", 4: "z"}
 
 
 def _family_factors(point: RepPoint, family: int):
     """(Theta, T, U) with family matrix (1 + eta T) U: T = Theta^(-1) for 1, 2, Theta for 3, 4."""
     if family not in FAMILIES:
         raise ValueError(f"family must be 1..4, got {family}")
-    if family == 4 and point.Z is None:
-        raise SingularFactor("family 4 needs invertible X")
+    U = cycle_matrix(point, FAMILY_KIND[family])     # family 4 needs Z, so invertible X
     theta = CycleMatrix(0, theta_blocks(point))
-    return theta, theta.inv() if family < 3 else theta, _u_cycle(point, _FAMILY_U[family])
+    return theta, theta.inv() if family < 3 else theta, U
 
 
 def family_value(point: RepPoint, family: int, j: int, eta: complex) -> complex:
@@ -115,7 +101,7 @@ def family_gradients(eng: PointEngine, family: int, j: int, eta: complex) -> Gra
     Returned as the engine.Gradient consumed by PointEngine.bracket_gradients.
     """
     Theta, T, U = _family_factors(eng.point, family)
-    X, Y = _u_cycle(eng.point, "x"), _u_cycle(eng.point, "y")
+    X, Y = cycle_matrix(eng.point, "x"), cycle_matrix(eng.point, "y")
     damp = 1 + eta * T
     P = j * (damp @ U).power(j - 1)
     S = eta * (U @ P)
@@ -125,7 +111,7 @@ def family_gradients(eng: PointEngine, family: int, j: int, eta: complex) -> Gra
     # chain S = (dF/dTheta)^T through Theta = (1 + XY)(1 + YX)^(-1)
     Winv = (1 + Y @ X).inv()
     qs = {"x": Y @ Winv @ S - Winv @ S @ Theta @ Y, "y": Winv @ S @ X - X @ Winv @ S @ Theta}
-    for kind, Q in _u_chain(eng.point, _FAMILY_U[family], P @ damp).items():
+    for kind, Q in _u_chain(eng.point, FAMILY_KIND[family], P @ damp).items():
         qs[kind] = qs[kind] + Q if kind in qs else Q
     return eng.letter_gradients(_cycle_pairs(eng, qs))
 
@@ -529,8 +515,8 @@ def qu_generator(point: RepPoint, alpha: int, beta: int, ell: int, U: str,
                  engine: PointEngine | None = None) -> complex:
     """tr(W_alpha V_beta U^(l m)), the framing vectors meeting the vertex-0 block of U^(l m)."""
     eng = engine or PointEngine(point)
-    power = ell * eng.m if U in ("x", "y", "z") else ell
-    U00 = _u_cycle(point, U).power(power).block(0, 0)
+    power = ell * cycle_period(U, eng.m)
+    U00 = cycle_matrix(point, U).power(power).block(0, 0)
     W, V = eng.letter_block(("w", alpha)), eng.letter_block(("v", beta))
     return complex(np.trace(W @ V @ U00))
 
@@ -541,8 +527,8 @@ def qu_gradients(point: RepPoint, alpha: int, beta: int, ell: int, U: str,
     eng = engine or PointEngine(point)
     m, n = eng.m, eng.n
     W, V = eng.letter_block(("w", alpha)), eng.letter_block(("v", beta))
-    Uc = _u_cycle(point, U)
-    K = ell * m if U in ("x", "y", "z") else ell
+    Uc = cycle_matrix(point, U)
+    K = ell * cycle_period(U, m)
     UK00 = Uc.power(K).block(0, 0)
     WV = CycleMatrix.of_letters("e", [W @ V] + [np.zeros((n, n))] * (m - 1))
     Q_U = CycleMatrix((K - 1) * Uc.deg, np.zeros_like(Uc.blocks))
@@ -556,14 +542,14 @@ def power_trace_gradients(point: RepPoint, U: str, K: int,
                           engine: PointEngine | None = None) -> Gradient:
     """Gradient of tr U^K for U in {x, y, z, t=1+xy} cycle matrices."""
     eng = engine or PointEngine(point)
-    Q_U = K * _u_cycle(point, U).power(K - 1)
+    Q_U = K * cycle_matrix(point, U).power(K - 1)
     return eng.letter_gradients(_cycle_pairs(eng, _u_chain(point, U, Q_U)))
 
 
 def _u_chain(point: RepPoint, U: str, Q_U: CycleMatrix) -> dict:
     """{letter kind: Q} for Q_U = (dF/dU)^T; only t = 1 + XY is not a letter kind."""
     if U == "t":
-        return {"x": _u_cycle(point, "y") @ Q_U, "y": Q_U @ _u_cycle(point, "x")}
+        return {"x": cycle_matrix(point, "y") @ Q_U, "y": Q_U @ cycle_matrix(point, "x")}
     return {U: Q_U}
 
 
@@ -585,7 +571,7 @@ def cy2_rank(point: RepPoint, U: str, engine: PointEngine | None = None):
     n = eng.n
     rows = []
     for j in range(1, n + 1):
-        K = j * eng.m if U in ("x", "y", "z") else j
+        K = j * cycle_period(U, eng.m)
         rows.append(_flatten_grads(eng, power_trace_gradients(point, U, K, engine=eng)))
         rows.append(_flatten_grads(eng, qu_gradients(point, 1, 1, j, U, engine=eng)))
     return _decide_rank(np.array(rows), _SV_TOL, _GAP_FACTOR)
@@ -606,7 +592,7 @@ def spect_residual(point: RepPoint, params: ParameterSet, U: str) -> float:
         Mmat = point.X[0] + inverse(point.Y[0], SingularFactor, "Y_0 not invertible")
     else:
         raise ValueError("U must be 'y' or 'z'")
-    diag = _u_cycle(point, U).power(m)
+    diag = cycle_matrix(point, U).power(m)
     blk0, blk1 = diag.block(0, 0), diag.block(1 % m, 1 % m)
     lhs = Mmat @ blk1 @ inverse(Mmat, SingularFactor, "conjugating block not invertible")
     rhs = params.t * framing_product(point) @ blk0

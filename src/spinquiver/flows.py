@@ -6,7 +6,12 @@ The three integrable flows admit closed forms on the cycle matrices:
     tr Y^k:        X(t) = X(0) exp(-t Y^k) + Y^(-1)(exp(-t Y^k) - 1),   Y const
     tr (1+XY)^k:   X(t) = exp(-t T^k) X(0),          T = 1 + XY constant
 
-all with d/dt normalized as (1/k) {tr U^k, -}.  The exponents have cyclic
+all with d/dt normalized as (1/k) {tr U^k, -}.  HAMILTONIANS maps each flow
+to the cycle kind of its U, its RK4 field and its closed form, and
+points.cycle_matrix and point_with_cycle turn a point into X and U and back.
+The flow conserves the family (1 + eta Theta^(+-1)) U with U of that kind
+(families.FAMILY_KIND).  Z and Y have degree -1, so tr Z^k and tr Y^k vanish
+unless m | k (points.cycle_period).  The exponents have cyclic
 degree 0, so each exponential is taken block by block on a
 cyclic.CycleMatrix.  The analytic factor in the second flow is evaluated
 through an augmented-block exponential, so Y need not be invertible.  The
@@ -22,11 +27,12 @@ takes, in their association (CycleMatrix.power's squaring order included),
 grouped by dependency level.  A level's products are one take, which gathers
 their blocks with precomputed shift indices, and one matmul into the call's
 own workspace; inverses, the shift 1 + eta Theta and the sums are one call
-each.  Each call of the oracle binds these steps to its workspace once, so
-a field evaluation only runs the bound calls.  The trajectories are
-bit-identical to evaluating the fields product by product on CycleMatrix
-states: each product keeps its operands and association, a batched matmul
-multiplies each n x n block as a single one does, and the elementwise
+each; a product with U^0 = 1 is not taken.  Each call of the oracle binds
+these steps to its workspace once, so a field evaluation only runs the bound
+calls.  The trajectories are bit-identical to evaluating the fields product
+by product on CycleMatrix states: each product keeps its operands and
+association, a batched matmul multiplies each n x n block as a single one
+does, the identity gives finite entries back, and the elementwise
 operations act on each entry alone.
 
 Each vector field evaluates its eta-terms (Theta or Theta^(-1), the shift
@@ -44,6 +50,7 @@ every step stops where a per-stage test would stop it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -52,7 +59,7 @@ import numpy as np
 from .cyclic import CycleMatrix, _shifted, power_by_squaring
 from .errors import SingularFactor
 from .params import ParameterSet
-from .points import RepPoint, inverse
+from .points import CYCLE_DEGREE, RepPoint, cycle_matrix, cycle_period, point_with_cycle
 
 _COND_LIMIT = 1e8
 
@@ -81,7 +88,7 @@ def phi1(A: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """Which flow to run: hamiltonian in {trZ, trY, trT}, power k, spectral eta."""
+    """Which flow to run: a hamiltonian of HAMILTONIANS, power k, spectral eta."""
 
     hamiltonian: str
     k: int
@@ -90,62 +97,43 @@ class FlowSpec:
     steps: int = 100
 
     def __post_init__(self):
-        if self.hamiltonian not in ("trZ", "trY", "trT"):
-            raise ValueError("hamiltonian must be one of trZ, trY, trT")
+        if self.hamiltonian not in HAMILTONIANS:
+            raise ValueError(f"hamiltonian must be one of {', '.join(HAMILTONIANS)}")
         if self.k < 1:
             raise ValueError("power k must be >= 1")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
 
-def _point_with_XZ(point: RepPoint, Xb, Zb) -> RepPoint:
-    Y = np.array(Zb) - inverse(np.array(Xb), SingularFactor,
-                               "X_{s} singular, so Y_{s} = Z_{s} - X_{s}^(-1) is undefined")
-    # keep the conserved matrix bit-identical rather than re-derived
-    return RepPoint.make(point.spec, Xb, Y, point.V, point.W, Z=Zb)
-
-
 def flow_Z(point: RepPoint, k: int, time: complex) -> RepPoint:
     """Closed-form flow of tr Z^k (k a multiple of m); Z, V, W exactly constant.
 
-    Raises SingularFactor when an X block of the endpoint is singular, since
-    Y = Z - X^(-1) is then undefined.
+    Raises SingularX where Z is undefined, and SingularFactor where an X
+    block of the endpoint is singular, so that Y = Z - X^(-1) is undefined.
     """
-    m = point.spec.m
-    if k % m:
+    if k % cycle_period("z", point.spec.m):
         raise ValueError("tr Z^k flows need m | k")
-    if point.Z is None:
-        raise SingularFactor("flow of tr Z^k needs invertible X")
-    X, Z = CycleMatrix.of_letters("x", point.X), CycleMatrix.of_letters("z", point.Z)
+    X, Z = cycle_matrix(point, "x"), cycle_matrix(point, "z")
     Xt = X @ (-time * Z.power(k)).map(expm)
-    return _point_with_XZ(point, Xt.letters("x"), list(point.Z))
+    return point_with_cycle(point, Xt, Z, "z")
 
 
 def flow_Y(point: RepPoint, k: int, time: complex) -> RepPoint:
     """Closed-form flow of tr Y^k (k a multiple of m); Y, V, W exactly constant."""
-    spec = point.spec
-    if k % spec.m:
+    if k % cycle_period("y", point.spec.m):
         raise ValueError("tr Y^k flows need m | k")
-    X, Y = CycleMatrix.of_letters("x", point.X), CycleMatrix.of_letters("y", point.Y)
+    X, Y = cycle_matrix(point, "x"), cycle_matrix(point, "y")
     A = -time * Y.power(k)
     # Y^(-1)(E - 1) = -time * Y^(k-1) phi1(A), no inversion needed
     Xt = X @ A.map(expm) - time * Y.power(k - 1) @ A.map(phi1)
-    return RepPoint.make(spec, Xt.letters("x"), point.Y, point.V, point.W)
+    return point_with_cycle(point, Xt, Y, "y")
 
 
 def flow_T(point: RepPoint, k: int, time: complex) -> RepPoint:
     """Closed-form flow of tr (1+XY)^k; T, V, W exactly constant."""
-    X = CycleMatrix.of_letters("x", point.X)
-    T = 1 + X @ CycleMatrix.of_letters("y", point.Y)
+    X, T = cycle_matrix(point, "x"), cycle_matrix(point, "t")
     Xt = (-time * T.power(k)).map(expm) @ X
-    return _point_with_XT(point, Xt.letters("x"), T.blocks)
-
-
-def _point_with_XT(point: RepPoint, Xb, Tb) -> RepPoint:
-    """The point with blocks X_s and Y_s = X_s^(-1) (T_s - 1), where T = 1 + XY."""
-    Xinv = inverse(np.array(Xb), SingularFactor,
-                   "X_{s} singular, so Y_{s} = X_{s}^(-1) (T_{s} - 1) is undefined")
-    return RepPoint.make(point.spec, Xb, Xinv @ (Tb - np.eye(point.spec.n)), point.V, point.W)
+    return point_with_cycle(point, Xt, T, "t")
 
 
 # -- RK4 oracle ---------------------------------------------------------------
@@ -216,8 +204,10 @@ def _field_T(X, U, k, eta):
     return dX, dU
 
 
-# hamiltonian -> (field, degree of the second state matrix)
-_FIELDS = {"trZ": (_field_Z, -1), "trY": (_field_Y, -1), "trT": (_field_T, 0)}
+Hamiltonian = namedtuple("Hamiltonian", "kind field closed_form")
+HAMILTONIANS = {"trZ": Hamiltonian("z", _field_Z, flow_Z),
+                "trY": Hamiltonian("y", _field_Y, flow_Y),
+                "trT": Hamiltonian("t", _field_T, flow_T)}
 
 
 class _Eta:
@@ -251,6 +241,10 @@ class _Node:
         return _Node(self.trace, self.m, op, args, deg, sign)
 
     def __matmul__(self, other: "_Node") -> "_Node":
+        if self.op == "one":        # U^0 = 1, so the product is the other operand
+            return other
+        if other.op == "one":
+            return self
         return self._new("mm", (self, other), self.deg + other.deg)
 
     def __neg__(self) -> "_Node":
@@ -393,11 +387,11 @@ def _inverse_into(blocks: np.ndarray, shift: np.ndarray, out: np.ndarray) -> Non
 @lru_cache(maxsize=64)
 def _plan(hamiltonian: str, k: int, m: int, n: int, eta_is_zero: bool) -> _Plan:
     """The plan of one field, traced at eta = 0 or with eta a placeholder."""
-    vf, deg = _FIELDS[hamiltonian]
+    ham = HAMILTONIANS[hamiltonian]
     trace = []
     X = _Node(trace, m, "state", (), 1)
-    M = _Node(trace, m, "state", (), deg)
-    return _Plan(trace, vf(X, M, k, 0 if eta_is_zero else _Eta()), m, n)
+    M = _Node(trace, m, "state", (), CYCLE_DEGREE[ham.kind])
+    return _Plan(trace, ham.field(X, M, k, 0 if eta_is_zero else _Eta()), m, n)
 
 
 @dataclass
@@ -433,21 +427,10 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
     spec = point.spec
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if flow.hamiltonian in ("trZ", "trY") and flow.k % spec.m:
-        raise ValueError("trZ/trY flows need m | k")
-    X = CycleMatrix.of_letters("x", point.X)
-    if flow.hamiltonian == "trZ":
-        if point.Z is None:
-            raise SingularFactor("oracle for tr Z^k needs invertible X")
-        M = CycleMatrix.of_letters("z", point.Z)
-        rebuild = lambda X, M: _point_with_XZ(point, X.letters("x"), M.letters("z"))
-    elif flow.hamiltonian == "trY":
-        M = CycleMatrix.of_letters("y", point.Y)
-        rebuild = lambda X, M: RepPoint.make(spec, X.letters("x"), M.letters("y"),
-                                             point.V, point.W)
-    else:
-        M = 1 + X @ CycleMatrix.of_letters("y", point.Y)
-        rebuild = lambda X, M: _point_with_XT(point, X.letters("x"), M.blocks)
+    kind = HAMILTONIANS[flow.hamiltonian].kind
+    if flow.k % cycle_period(kind, spec.m):
+        raise ValueError(f"{flow.hamiltonian} flows need m | k")
+    X, M = cycle_matrix(point, "x"), cycle_matrix(point, kind)
     plan = _plan(flow.hamiltonian, flow.k, spec.m, spec.n, flow.eta == 0)
     ws = plan.workspace(flow.eta)
     stage = ws[0][:2]                       # the state a field evaluation reads
@@ -476,7 +459,8 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
         state = state + (h / 6.0) * (slopes[0] + slopes[1] + slopes[2] + slopes[3])
         if step % stride == 0 or step == flow.steps:
             try:
-                sample = rebuild(CycleMatrix(X.deg, state[0]), CycleMatrix(M.deg, state[1]))
+                sample = point_with_cycle(point, CycleMatrix(X.deg, state[0]),
+                                          CycleMatrix(M.deg, state[1]), kind)
             except (np.linalg.LinAlgError, SingularFactor) as exc:
                 err = SingularFactor(f"oracle state has a singular X block at step {step}", traj)
                 raise err from exc
@@ -485,14 +469,10 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
 
 
 def closed_form_flow(point: RepPoint, flow: FlowSpec) -> RepPoint:
-    """Dispatch the closed-form flow matching the oracle's Hamiltonian at eta = 0."""
+    """The closed-form flow of the oracle's Hamiltonian, at eta = 0."""
     if flow.eta != 0:
         raise ValueError("closed forms exist only at eta = 0")
-    if flow.hamiltonian == "trZ":
-        return flow_Z(point, flow.k, flow.time)
-    if flow.hamiltonian == "trY":
-        return flow_Y(point, flow.k, flow.time)
-    return flow_T(point, flow.k, flow.time)
+    return HAMILTONIANS[flow.hamiltonian].closed_form(point, flow.k, flow.time)
 
 
 def conservation_report(point: RepPoint, flow: FlowSpec, observables: dict,

@@ -21,6 +21,7 @@ from functools import reduce
 
 import numpy as np
 
+from .cyclic import CycleMatrix
 from .errors import (Degenerate, RegularityViolation, SamplingExhausted,
                      SingularFactor, SingularGauge, SingularX)
 from .params import ModelSpec, ParameterSet
@@ -121,6 +122,47 @@ class RepPoint:
         """Magnitude scale of the point, used to normalize residual tolerances."""
         vals = [np.linalg.norm(b) for b in self.X + self.Y + self.V + self.W]
         return max(1.0, max(vals))
+
+
+# the cyclic degree of each kind of cycle matrix: x, y, z and t = 1 + XY
+CYCLE_DEGREE = {"x": 1, "y": -1, "z": -1, "t": 0}
+
+
+def cycle_period(kind: str, m: int) -> int:
+    """The m | k rule: tr U^k of a U of this kind vanishes unless k is a multiple of this."""
+    return m if CYCLE_DEGREE[kind] else 1
+
+
+def cycle_matrix(point: RepPoint, kind: str) -> CycleMatrix:
+    """The point's cycle matrix of kind x, y, z or t = 1 + XY."""
+    if kind == "x":
+        return CycleMatrix.of_letters("x", point.X)
+    if kind == "y":
+        return CycleMatrix.of_letters("y", point.Y)
+    if kind == "z":
+        return CycleMatrix.of_letters("z", point.require_Z())
+    if kind == "t":
+        return 1 + cycle_matrix(point, "x") @ cycle_matrix(point, "y")
+    raise ValueError(f"unknown cycle kind {kind!r}")
+
+
+def point_with_cycle(point: RepPoint, X: CycleMatrix, U: CycleMatrix, kind: str) -> RepPoint:
+    """The inverse of cycle_matrix: the point with X, and Y = U, or Y = U - X^(-1)
+    keeping Z = U as given, or Y = X^(-1) (U - 1), for U of kind y, z or t."""
+    Xb, Z = X.letters("x"), None
+    if kind == "y":
+        Y = U.letters("y")
+    elif kind == "z":
+        Z = U.letters("z")
+        Y = np.array(Z) - inverse(np.array(Xb), SingularFactor,
+                                  "X_{s} singular, so Y_{s} = Z_{s} - X_{s}^(-1) is undefined")
+    elif kind == "t":
+        Xinv = inverse(np.array(Xb), SingularFactor,
+                       "X_{s} singular, so Y_{s} = X_{s}^(-1) (T_{s} - 1) is undefined")
+        Y = Xinv @ (U.blocks - np.eye(point.spec.n))
+    else:
+        raise ValueError(f"cannot rebuild a point from a cycle matrix of kind {kind!r}")
+    return RepPoint.make(point.spec, Xb, Y, point.V, point.W, Z=Z)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ from spinquiver.families import (_pencil_links, _pencil_matrix, _pencil_powers,
 from spinquiver.cyclic import CycleMatrix
 from spinquiver.engine import _as_wordsum
 from spinquiver.errors import Degenerate, SingularFactor, SingularX
-from spinquiver.points import (ReducedQuadruple, RepPoint, _readonly, gauge_act,
-                               quadruple_from_coordinates, spin_data)
+from spinquiver.points import (ReducedQuadruple, _readonly, cycle_matrix, gauge_act,
+                               point_with_cycle, quadruple_from_coordinates, spin_data)
 from spinquiver.words import letter_tail_head
 
 # fixed generic deformation parameters per cycle length, regular by construction
@@ -199,25 +199,14 @@ def ode_oracle_loop(point, flow, field, samples=10):
     Raises SingularFactor with the partial trajectory attached, with the
     messages of flows.ode_oracle, and at the same steps.
     """
-    spec = point.spec
-    X = CycleMatrix.of_letters("x", point.X)
-    if flow.hamiltonian == "trZ":
-        state = (X, CycleMatrix.of_letters("z", point.Z))
-        rebuild = lambda X, M: flows._point_with_XZ(point, X.letters("x"), M.letters("z"))
-    elif flow.hamiltonian == "trY":
-        state = (X, CycleMatrix.of_letters("y", point.Y))
-        rebuild = lambda X, M: RepPoint.make(spec, X.letters("x"), M.letters("y"),
-                                             point.V, point.W)
-    else:
-        state = (X, 1 + X @ CycleMatrix.of_letters("y", point.Y))
-        rebuild = lambda X, M: flows._point_with_XT(point, X.letters("x"), M.blocks)
+    kind = flows.HAMILTONIANS[flow.hamiltonian].kind
     vf = lambda X, M: field(X, M, flow.k, flow.eta)
 
     h = flow.time / flow.steps
     stride = max(1, flow.steps // samples)
     traj = flows.Trajectory()
     traj.append(0.0, point)
-    X, M = state
+    X, M = cycle_matrix(point, "x"), cycle_matrix(point, kind)
     for step in range(1, flow.steps + 1):
         try:
             with np.errstate(over="raise", invalid="raise"):
@@ -231,7 +220,7 @@ def ode_oracle_loop(point, flow, field, samples=10):
         M = M + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         if step % stride == 0 or step == flow.steps:
             try:
-                sample = rebuild(X, M)
+                sample = point_with_cycle(point, X, M, kind)
             except (np.linalg.LinAlgError, SingularFactor) as exc:
                 raise SingularFactor(f"oracle state has a singular X block at step {step}",
                                      traj) from exc

@@ -145,6 +145,39 @@ def test_flow_checks_options_before_drawing(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+def test_rank_coords_of_another_shape_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # the file holds n = 4, d = 2; the default --spec 2,2,2 used to score it
+    # against the count 3 of n = 2 and fail with observed 7
+    from spinquiver import ModelSpec, derive_params, random_coordinates
+    path = tmp_path / "c.json"
+    coords = random_coordinates(ModelSpec(2, 2, 4), derive_params([1.2 + 0.3j, 0.8 - 0.1j], 4), 1)
+    sqio.write_json(str(path), sqio.coords_to_dict(coords))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("parameters were drawn")
+
+    monkeypatch.setattr("spinquiver.cli.derive_params", fail)
+    assert run(["rank", "--coords", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: coordinates file {path} has n = 4, d = 2; --spec 2,2,2 needs n = 2, d = 2"]
+    monkeypatch.undo()
+    out = tmp_path / "rank.json"
+    assert run(["rank", "--spec", "2,2,4", "--coords", str(path), "--out", str(out)]) == 0
+    data = sqio.read_json(str(out))
+    assert data["expected"] == data["observed"] == 7
+
+
+@pytest.mark.parametrize("word, message", [
+    ("Q", "invariant words use letters X, Z, S only, got 'Q'"),
+    ("X^a", "invalid literal for int() with base 10: 'a'"),
+])
+def test_reduce_rejects_an_unparsable_word_before_drawing(capsys, monkeypatch, word, message):
+    _no_draws(monkeypatch)
+    assert run(["reduce", "--word", word]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot parse --word {word!r}: {message}"]
+
+
 @pytest.mark.parametrize("points", ["0", "-1"])
 def test_report_rejects_fewer_than_one_point(tmp_path, capsys, monkeypatch, points):
     _no_draws(monkeypatch)

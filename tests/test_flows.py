@@ -15,7 +15,8 @@ from spinquiver import (FlowSpec, LocalCoordinates, ModelSpec, Trajectory, deriv
 import spinquiver
 from spinquiver import flows
 from spinquiver.cyclic import CycleMatrix
-from spinquiver.errors import SingularFactor
+from spinquiver.errors import SingularFactor, SingularX
+from spinquiver.families import FAMILY_KIND
 from spinquiver.flows import closed_form_flow, conservation_report, expm
 from spinquiver.points import RepPoint
 
@@ -573,3 +574,58 @@ def test_flow_Z_singular_endpoint_is_singular_factor():
     with pytest.raises(SingularFactor, match=r"X_\d singular, so Y_\d = ") as info:
         flow_Z(point, 3, 1.0)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_each_hamiltonian_has_a_field_a_closed_form_and_a_conserved_family():
+    conserved = {name: [f for f, kind in FAMILY_KIND.items() if kind == ham.kind]
+                 for name, ham in flows.HAMILTONIANS.items()}
+    assert conserved == {"trZ": [4], "trY": [3], "trT": [2]}
+    assert [ham.field for ham in flows.HAMILTONIANS.values()] == [
+        flows._field_Z, flows._field_Y, flows._field_T]
+    assert [ham.closed_form for ham in flows.HAMILTONIANS.values()] == [flow_Z, flow_Y, flow_T]
+
+
+def test_flows_check_the_m_divides_k_rule(tame):
+    point, spec, params = tame
+    for name in ("trZ", "trY"):
+        with pytest.raises(ValueError, match=f"^{name} flows need m [|] k$"):
+            ode_oracle(point, FlowSpec(name, spec.m + 1, 0.1), params)
+    ode_oracle(point, FlowSpec("trT", spec.m + 1, 0.1, steps=2), params)
+
+
+def _mm_levels_and_one_reads(plan):
+    """The plan's matmul levels, and whether any step reads a slot that holds U^0 = 1."""
+    ones, levels, reads = set(plan.ones), 0, False
+    for op, *args in plan.steps:
+        if op == "mm":
+            levels += 1
+            reads |= bool(ones & set((args[0] // plan.m).tolist()))
+        else:
+            operands = args[:2] if op == "add" else args[:1]
+            reads |= bool(ones & set(operands))
+    return levels, reads
+
+
+def test_plans_fold_products_with_the_identity():
+    # trT at k = 1 multiplies by U^0 = 1: 3 products in one level at eta = 0,
+    # not 6 in two, and no step reads the identity's slot at either eta
+    m, n = 3, 6
+    assert _mm_levels_and_one_reads(flows._plan("trT", 1, m, n, True)) == (1, False)
+    assert not _mm_levels_and_one_reads(flows._plan("trT", 1, m, n, False))[1]
+    zero_eta = flows._plan("trT", 1, m, n, True)
+    assert sum(len(args[0]) for op, *args in zero_eta.steps if op == "mm") == 2 * 3 * m
+    # trY at m = k = 1 still reads U^0 = 1 through -U^0 in dX
+    assert _mm_levels_and_one_reads(flows._plan("trY", 1, 1, n, True))[1]
+
+
+def test_an_undefined_Z_is_the_singular_X_of_require_Z(tame):
+    point, spec, params = tame
+    X = [np.zeros_like(point.X[0])] + list(point.X[1:])
+    broken = RepPoint.make(spec, X, point.Y, point.V, point.W)
+    assert broken.Z is None
+    with pytest.raises(SingularX, match="Z is undefined"):
+        flow_Z(broken, spec.m, 0.1)
+    with pytest.raises(SingularX, match="Z is undefined"):
+        ode_oracle(broken, FlowSpec("trZ", spec.m, 0.1), params)
+    with pytest.raises(SingularX, match="Z is undefined"):
+        family_value(broken, 4, spec.m, 0.3)

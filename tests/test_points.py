@@ -8,9 +8,10 @@ from spinquiver import (LocalCoordinates, ModelSpec, derive_params, gauge_act,
                         moment_residual, point_from_coordinates, random_coordinates,
                         random_point, reduced_quadruple, spin_data)
 import spinquiver
-from spinquiver.errors import (Degenerate, RegularityViolation, SamplingExhausted, SingularGauge,
-                               SingularX)
-from spinquiver.points import RepPoint, inverse, quadruple_from_coordinates
+from spinquiver.errors import (Degenerate, RegularityViolation, SamplingExhausted, SingularFactor,
+                               SingularGauge, SingularX)
+from spinquiver.points import (CYCLE_DEGREE, RepPoint, cycle_matrix, cycle_period, inverse,
+                               point_with_cycle, quadruple_from_coordinates)
 
 from conftest import make_point, make_setup, reduced_quadruple_by_gauge
 
@@ -345,6 +346,52 @@ def test_inverse_names_the_first_singular_block(rng):
     with pytest.raises(SingularX, match=r"^Z_\{m-1\} is singular$") as info:
         inverse(stack[3], SingularX, "Z_{m-1} is singular")
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize("mdn_seed", [(1, 1, 2, 5), (2, 2, 3, 4), (3, 2, 4, 1), (4, 3, 6, 2)])
+def test_point_with_cycle_inverts_cycle_matrix(mdn_seed):
+    point, _spec, _params = make_point(*mdn_seed)
+    X = cycle_matrix(point, "x")
+    assert X.deg == 1 % point.spec.m
+    for kind in ("y", "z", "t"):
+        U = cycle_matrix(point, kind)
+        assert U.deg == CYCLE_DEGREE[kind] % point.spec.m
+        back = point_with_cycle(point, X, U, kind)
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(back.X + back.V + back.W, point.X + point.V + point.W))
+        if kind == "t":     # Y = X^(-1) (1 + XY - 1) rounds
+            assert max(np.max(np.abs(a - b)) for a, b in zip(back.Y, point.Y)) <= 1e-12
+        else:               # drawn points give Y back bit for bit, and the given Z is kept
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(back.Y, point.Y))
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(back.Z, U.letters("z") if kind == "z" else point.Z))
+
+
+def test_point_with_cycle_names_the_first_singular_X_block():
+    point, _spec, _params = make_point(3, 2, 4, seed=1)
+    X = cycle_matrix(point, "x")
+    X.blocks[[1, 2]] = 0.0      # the blocks of X_1 and X_2 (letter x_s sits at vertex s)
+    for kind, what in (("z", r"Z_1 - X_1\^\(-1\)"), ("t", r"X_1\^\(-1\) \(T_1 - 1\)")):
+        with pytest.raises(SingularFactor, match=rf"^X_1 singular, so Y_1 = {what} is undefined$"):
+            point_with_cycle(point, X, cycle_matrix(point, kind), kind)
+    assert point_with_cycle(point, X, cycle_matrix(point, "y"), "y").Z is None
+    with pytest.raises(ValueError, match="kind 'x'"):
+        point_with_cycle(point, X, X, "x")
+
+
+def test_cycle_period_is_the_m_divides_k_rule():
+    for m in (1, 2, 3, 4):
+        assert [cycle_period(kind, m) for kind in ("x", "y", "z", "t")] == [m, m, m, 1]
+
+
+def test_cycle_matrix_of_a_singular_X_has_no_z():
+    point, spec, _params = make_point(2, 2, 3, seed=4)
+    broken = RepPoint.make(spec, [np.zeros((3, 3)), point.X[1]], point.Y, point.V, point.W)
+    assert cycle_matrix(broken, "t").deg == 0
+    with pytest.raises(SingularX):
+        cycle_matrix(broken, "z")
+    with pytest.raises(ValueError, match="unknown cycle kind"):
+        cycle_matrix(point, "w")
 
 
 # the primitives whose LinAlgError is part of their contract call np.linalg.inv directly
