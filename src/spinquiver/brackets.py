@@ -235,12 +235,14 @@ def loday_word_terms(m: int, w1, w2):
 def trace_bracket_symbolic(m: int, w1, w2) -> WordSum:
     """{tr w1, tr w2} as a canonicalized cyclic word sum.
 
-    Incomposable terms drop; coefficients cancel exactly (they are binary
-    fractions), so identities like {tr x^k, tr x^l} = 0 produce an empty sum.
+    Incomposable terms drop, each word is freely reduced as a closed word
+    under the trace (x x^(-1) = e, cyclically too), and coefficients cancel
+    exactly (they are binary fractions), so identities like
+    {tr x^k, tr x^l} = 0 and {tr y, tr x x^(-1)} = 0 produce an empty sum.
     """
     acc = {}
     for c, word in loday_word_terms(m, w1, w2):
-        w = simplify_word(word, m)
+        w = simplify_word(word, m, cyclic=True)
         if w is None:
             continue
         w = canonical_rotation(w)

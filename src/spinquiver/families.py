@@ -275,6 +275,12 @@ def spectral_coeffs(quad: ReducedQuadruple, params: ParameterSet) -> SpectralCoe
     C = A^(-1) B^m and T = S B^(m-1) A^(-1).  Interpolates the mu-monomial
     coefficients over eta at roots of unity; IllConditioned if the solve
     misses its samples by more than 1e-8 of their scale.
+
+    The eta-degree is <= d by construction: S = bigA bigC has rank <= d, so
+    T has rank <= d, and by the matrix determinant lemma det(C - mu + eta T)
+    is a polynomial of degree <= d in eta.  The coefficients past degree d
+    (eta_block_max(d + 1)) therefore measure this interpolation's roundoff,
+    not a statement of the paper.
     """
     m = params.m
     Ainv = inverse(quad.A, SingularFactor, "the reduced families need an invertible A")

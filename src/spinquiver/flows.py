@@ -19,21 +19,37 @@ oracle integrates the same vector fields (at general spectral parameter) with
 classical RK4; it exists to cross-check the closed forms and to drive
 conservation checks, not as a production integrator.
 
-The oracle's state is one (2, m, n, n) stack, the blocks of X and of Z, Y or
-U = 1 + XY, so each RK4 stage combination and the update are one array
-operation.  Each vector field is written once, on cycle matrices, and traced
-into a plan cached per (hamiltonian, k, m, n, eta == 0): the products it
-takes, in their association (CycleMatrix.power's squaring order included),
-grouped by dependency level.  A level's products are one take, which gathers
-their blocks with precomputed shift indices, and one matmul into the call's
-own workspace; inverses, the shift 1 + eta Theta and the sums are one call
-each; a product with U^0 = 1 is not taken.  Each call of the oracle binds
-these steps to its workspace once, so a field evaluation only runs the bound
-calls.  The trajectories are bit-identical to evaluating the fields product
-by product on CycleMatrix states: each product keeps its operands and
-association, a batched matmul multiplies each n x n block as a single one
-does, the identity gives finite entries back, and the elementwise
-operations act on each entry alone.
+The oracle's state is one (2, m, n, n) stack, the blocks of X and of M, the
+conserved matrix Z, Y or U = 1 + XY, so each RK4 stage combination and the
+update are one array operation.  Each vector field is written once, on cycle
+matrices, and traced into a plan cached per (hamiltonian, k, m, n, eta == 0):
+the products it takes, in their association (CycleMatrix.power's squaring
+order included), grouped by dependency level.  Tracing takes two exact
+shortcuts: a step the field takes twice on the same operands is taken once
+(trT's U @ U at k = 1), and a single-use x + (-y) is taken as x - y, which
+IEEE arithmetic defines as that sum.  A level's products are one take,
+which gathers their blocks with precomputed shift indices, and one matmul;
+inverses, the shift 1 + eta Theta and the sums are one call each; a product
+with U^0 = 1 is not taken.
+
+Each call of the oracle binds these steps once to its own workspace, which
+holds one stack of slots per RK4 stage: a stage reads its state from two
+slots and writes dX and dM into two fixed slots, so the four slopes are one
+view, and the RK4 sum is built in a buffer of its own.  Each stage's steps
+are bound twice, all of them and the X-dependent ones alone.  The steps that
+read M alone (its powers and products, and at eta = 0 dM itself) rerun only
+when the stage's M bytes differ from those of that stage's last full
+evaluation; otherwise the values they left in its slots are the ones they
+would write again.  M is constant in exact arithmetic, and its bits stay
+put on every stage for trT at eta = 0 (dU = U@U - U@U = 0), on some stages
+for trZ and rarely for trY, whose dM is roundoff.  The trajectories are
+bit-identical to evaluating the fields product by product on CycleMatrix
+states: each product keeps its operands and association, a batched matmul
+multiplies each n x n block as a single one does, the identity gives finite
+entries back, the elementwise operations act on each entry alone, and a
+skipped step would have written the bits it left.  Neither dM nor M's work is folded
+symbolically or hoisted out of the step loop: either would change the
+trajectories in their last bits.
 
 Each vector field evaluates its eta-terms (Theta or Theta^(-1), the shift
 1 + eta Theta and the eta-weighted part of dX) only when eta != 0.  The
@@ -43,14 +59,16 @@ too, a trajectory that leaves the locus where Theta is defined stops there
 with SingularFactor instead of running on.  At eta != 0 the field's own
 inverse is the test.  At eta = 0 the inverse itself is unused, so the test
 is an LU factorization alone (_require_invertible), run once per RK4 step
-over the tested blocks of all four stages.  A singular stage then only feeds
-products into the later stages, which either overflow or reach the test, so
-every step stops where a per-stage test would stop it.
+over the tested blocks of all four stages; a block of M alone is tested on
+the stages that ran their full evaluation, the others hold bytes that passed
+at an earlier step.  A singular stage then only feeds products into the
+later stages, which either overflow or reach the test, so every step stops
+where a per-stage test would stop it.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -141,8 +159,8 @@ def flow_T(point: RepPoint, k: int, time: complex) -> RepPoint:
 # The fields act on cycle matrices: X of degree +1, Z and Y of degree -1,
 # U = 1 + XY of degree 0.  Each field is written once, below, as the
 # products, inverses and sums it takes.  _plan traces it on _Node
-# placeholders, _Plan.workspace binds what the trace recorded to one
-# workspace stack, and _Plan.run evaluates it there, level by level.
+# placeholders, _Plan orders what the trace recorded into steps, and a
+# _Workspace binds those steps to one call's workspace and runs them there.
 
 def _require_invertible(blocks: np.ndarray) -> None:
     """Raise LinAlgError exactly where inv(blocks) would: some block has an exact zero pivot.
@@ -150,8 +168,11 @@ def _require_invertible(blocks: np.ndarray) -> None:
     slogdet runs the same LU factorization as inv and reports sign 0 for an
     exact zero pivot; a non-finite block gives sign nan, which passes here
     as it does in inv.  Floating-point flags are ignored, as inv ignores them.
-    The oracle calls it once per RK4 step, on the tested blocks of all four
-    stages in one (4, tested, m, n, n) stack.
+    The oracle calls it once per RK4 step, on one (count, m, n, n) stack: the
+    tested blocks that depend on X, from all four stages, and those of M
+    alone (trT's U), from the stages that ran their full evaluation.  A
+    stage that skipped M's work holds M's bytes of an earlier step, whose
+    test passed on those same bytes.
     """
     with np.errstate(all="ignore"):
         sign = np.linalg.slogdet(blocks)[0]
@@ -225,20 +246,25 @@ class _Eta:
 class _Node:
     """A cycle matrix while a field is traced: its degree and the step that makes it.
 
-    Every node appends itself to the trace when it is made, so the trace
-    lists each value the field computes, after the values it reads; a value
-    the outputs do not need is still computed, as an eager evaluation would.
+    The trace maps each step (op, operands, sign) to the node it makes, in
+    the order the field computes them, after the values they read.  A step
+    the trace already holds gives its node back: the same op on the same
+    operands gives the same bits, so trT's U @ U at k = 1 is taken once.  A
+    value the outputs do not need is still computed, as an eager evaluation
+    would.
     """
 
     __slots__ = ("trace", "m", "op", "args", "deg", "sign")
 
-    def __init__(self, trace: list, m: int, op: str, args: tuple, deg: int, sign=None):
+    def __init__(self, trace: dict, m: int, op: str, args: tuple, deg: int, sign=None):
         self.trace, self.m, self.op, self.args = trace, m, op, args
         self.deg, self.sign = deg % m, sign
-        trace.append(self)
 
     def _new(self, op, args, deg, sign=None) -> "_Node":
-        return _Node(self.trace, self.m, op, args, deg, sign)
+        key = (op, args, sign)
+        if key not in self.trace:
+            self.trace[key] = _Node(self.trace, self.m, op, args, deg, sign)
+        return self.trace[key]
 
     def __matmul__(self, other: "_Node") -> "_Node":
         if self.op == "one":        # U^0 = 1, so the product is the other operand
@@ -280,103 +306,183 @@ def _test_invertible(*nodes: _Node) -> None:
 
 
 class _Plan:
-    """A traced field's steps grouped by dependency level, on one workspace stack.
+    """A traced field's steps grouped by dependency level, on one stack of slots.
 
-    The workspace has one (m, n, n) slot per traced value: slot 0 holds X,
-    slot 1 the second state matrix.  Within a level, inverses and
-    elementwise steps run first, one call each, then the level's products:
-    these sit in consecutive slots, so one take gathers their left blocks
-    and their right blocks shifted by the left degree (as
+    Each (m, n, n) slot holds one traced value: slot 0 holds X, slot 1 the
+    second state matrix M, and the field's dX and dM are written into slots
+    2 and 3.  A single-use negation that is added, x + (-y) or (-y) + x, is
+    taken as x - y, which IEEE arithmetic defines as that sum.  Within a
+    level, inverses and elementwise steps run first, one call each, then the
+    level's products: these sit in consecutive slots, so one take gathers
+    their left blocks and their right blocks shifted by the left degree (as
     CycleMatrix.__matmul__ shifts them), and one matmul writes them all.
-    Domain tests are not run here: the plan records the slots they name in
-    tested, and run copies those blocks out for the caller, which tests all
-    four RK4 stages' copies in one _require_invertible call per step.
-    The plan holds read-only index arrays only; each caller owns a workspace.
+    steps lists every step; x_steps lists those that depend on X, the work
+    a stage reruns when its M keeps its bytes: each level's products of M
+    alone sit first in its slot range, and x_steps' take and matmul cover
+    the rest of it.  Domain tests are not steps: the plan records the slots
+    they name, split the same way, and _Workspace.test checks them once per
+    RK4 step.  The plan holds read-only index arrays only (tested_rows
+    memoizes them); each oracle call owns a workspace.
     """
 
-    def __init__(self, trace: list, outputs: tuple, m: int, n: int):
+    def __init__(self, trace: dict, outputs: tuple, m: int, n: int):
         self.m, self.n = m, n
-        level, slot = {}, {}
-        for node in trace:
+        nodes = list(trace.values())        # X and M first
+        uses = Counter(a for node in nodes for a in node.args) + Counter(outputs)
+        folded = set()
+        for node in nodes:
+            for x, y in (node.args, node.args[::-1]) if node.op == "add" else ():
+                if y.op == "neg" and uses[y] == 1:
+                    node.op, node.args = "sub", (x, y.args[0])
+                    folded.add(y)
+                    break
+        nodes = [node for node in nodes if node not in folded]
+        level, reads_x = {}, {nodes[0]}
+        for node in nodes:
             level[node] = 1 + max((level[a] for a in node.args), default=-1)
-            if level[node] == 0:            # the state and the identities
-                slot[node] = len(slot)
-        self.ones = [slot[node] for node in trace if node.op == "one"]
-        self.steps, tested, gather = [], [], 0
+            if reads_x.intersection(node.args):
+                reads_x.add(node)
+        if outputs[0] is outputs[1] or any(level[node] == 0 or node.op == "mm"
+                                           for node in outputs):
+            raise ValueError("a field's dX and dM must be two values that are not products")
+        slot = {nodes[0]: 0, nodes[1]: 1, outputs[0]: 2, outputs[1]: 3}
+        for node in nodes:
+            if level[node] == 0:            # the identities
+                slot.setdefault(node, len(slot))
+        self.ones = [slot[node] for node in nodes if node.op == "one"]
+        self.steps, self.x_steps, tested, self.gather = [], [], [], 0
         for lev in range(1, max(level.values()) + 1):
-            nodes = [node for node in trace if level[node] == lev]
-            for node in nodes:
+            at = [node for node in nodes if level[node] == lev]
+            for node in at:
                 args = [slot[a] for a in node.args]
                 if node.op == "test":
-                    tested += args
+                    tested += node.args
                 elif node.op != "mm":
-                    slot[node] = len(slot)
-                    step = (node.op, *args, slot[node])
+                    step = (node.op, *args, slot.setdefault(node, len(slot)))
                     if node.op == "scale":
                         step += (node.sign,)
                     elif node.op == "inv":      # the inverse's block s + deg inverts block s
                         step += (_shifted(m, -node.args[0].deg),)
                     self.steps.append(step)
-            products = [node for node in nodes if node.op == "mm"]
+                    if node in reads_x:
+                        self.x_steps.append(step)
+            products = sorted((node for node in at if node.op == "mm"), key=reads_x.__contains__)
             if products:
                 lo = len(slot)
                 for node in products:
                     slot[node] = len(slot)
-                left = [slot[p.args[0]] * m + np.arange(m) for p in products]
-                right = [slot[p.args[1]] * m + _shifted(m, p.args[0].deg) for p in products]
-                idx = np.concatenate(left + right)
-                idx.setflags(write=False)
-                self.steps.append(("mm", idx, lo * m, len(slot) * m))
-                gather = max(gather, len(idx))
-        self.slots, self.gather = len(slot), gather
-        self.out = np.array([slot[node] for node in outputs])
-        self.tested = np.array(tested, dtype=np.intp)
-        for idx in (self.out, self.tested):
-            idx.setflags(write=False)
+                self.steps.append(self._products(products, slot, lo))
+                first = lo + sum(node not in reads_x for node in products)
+                if first < len(slot):
+                    self.x_steps.append(self._products(products[first - lo:], slot, first))
+        self.slots = len(slot)
+        self.tested_x = [slot[node] for node in tested if node in reads_x]
+        self.tested_m = [slot[node] for node in tested if node not in reads_x]
+        self._tested_rows = {}
         self.degrees = tuple(node.deg for node in outputs)
         self.eye = np.eye(n)
         self.eye.setflags(write=False)
 
-    def workspace(self, eta) -> tuple:
-        """A fresh (workspace, the plan's steps bound to it and to eta) for run.
+    def _products(self, products: list, slot: dict, lo: int) -> tuple:
+        """The step taking products, whose slots run from lo: its gather index and flat range."""
+        m = self.m
+        left = [slot[p.args[0]] * m + np.arange(m) for p in products]
+        right = [slot[p.args[1]] * m + _shifted(m, p.args[0].deg) for p in products]
+        idx = np.concatenate(left + right)
+        idx.setflags(write=False)
+        self.gather = max(self.gather, len(idx))
+        return ("mm", idx, lo * m, (lo + len(products)) * m)
 
-        take writes into its out without a buffer only in a mode other than
-        "raise"; every index here is in range, so "clip" changes nothing else.
+    def bind(self, work: np.ndarray, gather: np.ndarray, eta, steps: list) -> list:
+        """steps bound to one stage's slots work (slots, m, n, n), gather buffer and eta.
+
+        Every out is passed by position, which spares each call a keyword
+        merge.  take writes into its out without a buffer only in a mode
+        other than "raise"; every index here is in range, so "clip" changes
+        nothing else.
         """
-        n = self.n
-        work = np.empty((self.slots, self.m, n, n), dtype=complex)
-        work[self.ones] = self.eye
-        flat = work.reshape(-1, n, n)
-        gather = np.empty((self.gather, n, n), dtype=complex)
+        flat = work.reshape(-1, self.n, self.n)
         calls = []
-        for op, *args in self.steps:
+        for op, *args in steps:
             if op == "mm":
                 idx, lo, hi = args
                 both = gather[:len(idx)]
-                calls += [partial(flat.take, idx, axis=0, out=both, mode="clip"),
-                          partial(np.matmul, both[:hi - lo], both[hi - lo:], out=flat[lo:hi])]
+                calls += [partial(flat.take, idx, 0, both, "clip"),
+                          partial(np.matmul, both[:hi - lo], both[hi - lo:], flat[lo:hi])]
             elif op == "inv":
                 calls.append(partial(_inverse_into, work[args[0]], args[2], work[args[1]]))
             elif op == "neg":
-                calls.append(partial(np.negative, work[args[0]], out=work[args[1]]))
-            elif op == "add":
-                calls.append(partial(np.add, work[args[0]], work[args[1]], out=work[args[2]]))
+                calls.append(partial(np.negative, work[args[0]], work[args[1]]))
+            elif op in ("add", "sub"):
+                ufunc = np.add if op == "add" else np.subtract
+                calls.append(partial(ufunc, work[args[0]], work[args[1]], work[args[2]]))
             elif op == "add1":
-                calls.append(partial(np.add, work[args[0]], self.eye, out=work[args[1]]))
+                calls.append(partial(np.add, work[args[0]], self.eye, work[args[1]]))
             else:       # scale
                 calls.append(partial(np.multiply, eta if args[2] > 0 else -eta,
-                                     work[args[0]], out=work[args[1]]))
-        return work, calls
+                                     work[args[0]], work[args[1]]))
+        return calls
 
-    def run(self, ws: tuple, out: np.ndarray, tested: np.ndarray) -> None:
-        """Write the field at the state in workspace slots 0 and 1 into out (2, m, n, n),
-        and the blocks its domain test names into tested (len(self.tested), m, n, n)."""
-        work, calls = ws
-        for call in calls:
+    def tested_rows(self, full: tuple) -> np.ndarray:
+        """The rows of a (stages * slots, m, n, n) workspace that one step's domain test
+        reads: the X-dependent tested slots of every stage, the M-only ones of the
+        stages whose flag in full is set."""
+        rows = self._tested_rows.get(full)
+        if rows is None:
+            rows = [i * self.slots + s for i in range(len(full)) for s in self.tested_x]
+            rows += [i * self.slots + s for i, ran in enumerate(full) if ran
+                     for s in self.tested_m]
+            rows = self._tested_rows[full] = np.array(rows, dtype=np.intp)
+            rows.setflags(write=False)
+        return rows
+
+    def evaluate(self, X: np.ndarray, M: np.ndarray, eta) -> np.ndarray:
+        """The field at one state, dX and dM in one (2, m, n, n) stack, after its domain test."""
+        ws = _Workspace(self, eta, stages=1)
+        ws.work[0, 0], ws.work[0, 1] = X, M
+        ws.test((ws.run(0),))
+        return ws.slopes[0]
+
+
+class _Workspace:
+    """One oracle call's workspace: a stack of the plan's slots per RK4 stage.
+
+    Stage i reads its state from its slots 0 and 1 and leaves its slope in
+    slots 2 and 3, so the stages' slopes are the view slopes.  Each stage's
+    steps are bound twice: all of them, and the X-dependent ones alone.  A
+    stage runs the second binding when its M has the bytes of its own last
+    full evaluation: the values of M alone (its powers and products, and at
+    eta = 0 dM itself) are still in its slots, and the same steps on the
+    same bytes would write the same bits.
+    """
+
+    def __init__(self, plan: _Plan, eta, stages: int = 4):
+        m, n = plan.m, plan.n
+        self.plan = plan
+        self.work = np.empty((stages, plan.slots, m, n, n), dtype=complex)
+        self.work[:, plan.ones] = plan.eye
+        self.rows = self.work.reshape(-1, m, n, n)
+        self.states, self.slopes = list(self.work[:, :2]), self.work[:, 2:4]
+        gather = np.empty((plan.gather, n, n), dtype=complex)
+        self.full = [plan.bind(work, gather, eta, plan.steps) for work in self.work]
+        self.x_only = [plan.bind(work, gather, eta, plan.x_steps) for work in self.work]
+        self.seen = [None] * stages         # M's bytes at each stage's last full evaluation
+
+    def run(self, stage: int) -> bool:
+        """Write the field at the stage's state into its slope; True if every step ran."""
+        M = self.states[stage][1].tobytes()
+        full = M != self.seen[stage]
+        for call in (self.full if full else self.x_only)[stage]:
             call()
-        work.take(self.out, axis=0, out=out, mode="clip")
-        if self.tested.size:
-            work.take(self.tested, axis=0, out=tested, mode="clip")
+        if full:
+            self.seen[stage] = M
+        return full
+
+    def test(self, full: tuple) -> None:
+        """The domain test of one step whose stages ran their full evaluation where full says."""
+        rows = self.plan.tested_rows(full)
+        if rows.size:
+            _require_invertible(self.rows.take(rows, 0))
 
 
 def _inverse_into(blocks: np.ndarray, shift: np.ndarray, out: np.ndarray) -> None:
@@ -388,9 +494,9 @@ def _inverse_into(blocks: np.ndarray, shift: np.ndarray, out: np.ndarray) -> Non
 def _plan(hamiltonian: str, k: int, m: int, n: int, eta_is_zero: bool) -> _Plan:
     """The plan of one field, traced at eta = 0 or with eta a placeholder."""
     ham = HAMILTONIANS[hamiltonian]
-    trace = []
-    X = _Node(trace, m, "state", (), 1)
-    M = _Node(trace, m, "state", (), CYCLE_DEGREE[ham.kind])
+    trace = {}
+    X = trace["X"] = _Node(trace, m, "state", (), 1)
+    M = trace["M"] = _Node(trace, m, "state", (), CYCLE_DEGREE[ham.kind])
     return _Plan(trace, ham.field(X, M, k, 0 if eta_is_zero else _Eta()), m, n)
 
 
@@ -422,7 +528,8 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
     Theta is tested at every eta, so that an eta = 0 run stops where Theta
     stops being defined, as it would if the eta-terms were evaluated and
     multiplied by 0.  At eta = 0 that test runs once per step, after the
-    fourth stage, on the tested blocks of all four stages.
+    fourth stage, on the tested blocks of all four stages (those of M alone
+    on the stages that ran their full evaluation, _Workspace.run).
     """
     spec = point.spec
     if samples < 1:
@@ -432,11 +539,12 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
         raise ValueError(f"{flow.hamiltonian} flows need m | k")
     X, M = cycle_matrix(point, "x"), cycle_matrix(point, kind)
     plan = _plan(flow.hamiltonian, flow.k, spec.m, spec.n, flow.eta == 0)
-    ws = plan.workspace(flow.eta)
-    stage = ws[0][:2]                       # the state a field evaluation reads
-    state = np.stack([X.blocks, M.blocks])
-    slopes = np.empty((4,) + state.shape, dtype=complex)
-    tested = np.empty((4, len(plan.tested)) + state.shape[1:], dtype=complex)
+    ws = _Workspace(plan, flow.eta)
+    stages, slopes = ws.states, list(ws.slopes)
+    state = stages[0]                       # the first stage evaluates at the state itself
+    state[0], state[1] = X.blocks, M.blocks
+    twice = np.empty((2,) + state.shape, dtype=complex)
+    total = np.empty_like(state)
 
     h = flow.time / flow.steps
     stride = max(1, flow.steps // samples)
@@ -445,18 +553,21 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
     for step in range(1, flow.steps + 1):
         try:
             with np.errstate(over="raise", invalid="raise"):
-                np.copyto(stage, state)
-                plan.run(ws, slopes[0], tested[0])
+                full = [ws.run(0)]
                 for i, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
-                    np.add(state, np.multiply(c, slopes[i - 1], out=stage), out=stage)
-                    plan.run(ws, slopes[i], tested[i])
-                if tested.size:
-                    _require_invertible(tested)
+                    np.add(state, np.multiply(c, slopes[i - 1], stages[i]), stages[i])
+                    full.append(ws.run(i))
+                ws.test(tuple(full))
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
             err = SingularFactor(f"oracle singular at step {step}", traj)
             raise err from exc
-        np.multiply(2, slopes[1:3], out=slopes[1:3])
-        state = state + (h / 6.0) * (slopes[0] + slopes[1] + slopes[2] + slopes[3])
+        # state + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        np.multiply(2, ws.slopes[1:3], twice)
+        np.add(slopes[0], twice[0], total)
+        np.add(total, twice[1], total)
+        np.add(total, slopes[3], total)
+        np.multiply(h / 6.0, total, total)
+        np.add(state, total, state)
         if step % stride == 0 or step == flow.steps:
             try:
                 sample = point_with_cycle(point, CycleMatrix(X.deg, state[0]),

@@ -69,18 +69,36 @@ def is_closed(word, m: int) -> bool:
     return th is not None and th[0] == th[1]
 
 
-def simplify_word(word, m: int):
-    """Drop redundant idempotent letters; return None if the word is zero.
+_INVERSE_KIND = {"x": "xi", "xi": "x", "y": "yi", "yi": "y", "z": "zi", "zi": "z"}
 
-    A zero word arises when consecutive letters do not compose.  A word of
-    idempotents only collapses to a single (e, v).
+
+def _cancels(a, b) -> bool:
+    """Whether letter b is the inverse of letter a: x_s and xi_s, y_s and yi_s, z_s and zi_s."""
+    return _INVERSE_KIND.get(a[0]) == b[0] and a[1] == b[1]
+
+
+def simplify_word(word, m: int, cyclic: bool = False):
+    """Drop redundant idempotents and cancel adjacent inverse letters; None if zero.
+
+    A zero word arises when consecutive letters do not compose.  A word that
+    reduces to idempotents only becomes the idempotent (e, v) at its tail.
+    With cyclic=True a closed word is read under a trace, so its last letter
+    also cancels against its first.
     """
-    if word_tail_head(word, m) is None:
+    ends = word_tail_head(word, m)
+    if ends is None:
         return None
-    kept = tuple(l for l in word if l[0] != "e")
-    if kept:
-        return kept
-    return (word[0],)
+    kept = []
+    for letter in word:
+        if letter[0] == "e":
+            continue
+        if kept and _cancels(kept[-1], letter):
+            kept.pop()
+        else:
+            kept.append(letter)
+    while cyclic and ends[0] == ends[1] and len(kept) > 1 and _cancels(kept[-1], kept[0]):
+        kept = kept[1:-1]
+    return tuple(kept) if kept else (("e", ends[0]),)
 
 
 def concat(*words):
@@ -122,7 +140,7 @@ class WordSum:
     def canonicalized(self, m: int) -> "WordSum":
         out = {}
         for coeff, word in self.terms:
-            w = simplify_word(word, m)
+            w = simplify_word(word, m, cyclic=True)
             if w is None:
                 continue
             w = canonical_rotation(w)

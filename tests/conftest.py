@@ -160,22 +160,17 @@ def trace_bracket_words_loop(eng, w1, w2):
 # -- the oracle's fields on CycleMatrix states, through flows' traced plans -------
 
 def oracle_field(hamiltonian, X, M, k, eta):
-    """(dX, dM) of one field on CycleMatrix states, evaluated through its plan.
+    """(dX, dM) of one field on CycleMatrix states, evaluated once through its plan.
 
-    The blocks the plan names for the domain test go through
+    _Plan.evaluate runs every step of the plan on a one-stage workspace,
+    then passes the blocks the plan names for the domain test through
     flows._require_invertible, as the oracle's per-step test takes them, so
     a field raises LinAlgError wherever an inverse in the graded references
     would.
     """
     m, n = X.blocks.shape[:2]
     plan = flows._plan(hamiltonian, k, m, n, eta == 0)
-    ws = plan.workspace(eta)
-    ws[0][0], ws[0][1] = X.blocks, M.blocks
-    out = np.empty((2, m, n, n), dtype=complex)
-    tested = np.empty((len(plan.tested), m, n, n), dtype=complex)
-    plan.run(ws, out, tested)
-    if tested.size:
-        flows._require_invertible(tested)
+    out = plan.evaluate(X.blocks, M.blocks, eta)
     return CycleMatrix(plan.degrees[0], out[0]), CycleMatrix(plan.degrees[1], out[1])
 
 

@@ -34,6 +34,28 @@ def test_simplify_drops_idempotents():
     assert simplify_word((("e", 1), ("e", 1)), m) == (("e", 1),)
 
 
+def test_simplify_cancels_inverse_letters():
+    m = 1
+    x, xi, y, yi = ("x", 0), ("xi", 0), ("y", 0), ("yi", 0)
+    assert simplify_word((x, y, yi, xi, y), m) == (y,)
+    # a closed word also cancels across its ends under a trace, and a word
+    # that cancels completely is the idempotent at its tail
+    assert simplify_word((x, y, xi), m) == (x, y, xi)
+    assert simplify_word((x, y, xi), m, cyclic=True) == (y,)
+    assert simplify_word((("zi", 1), ("z", 1)), 2, cyclic=True) == (("e", 1),)
+    # the commutator x y x^(-1) y^(-1) has no adjacent inverse pair, at either end
+    assert simplify_word((x, y, xi, yi), m, cyclic=True) == (x, y, xi, yi)
+
+
+def test_trace_bracket_of_a_cancelling_word_is_empty():
+    # {tr y, tr x x^(-1)} = {tr y, tr e} = 0; without free reduction the sum
+    # kept four words that cancel only under x x^(-1) = e
+    from spinquiver.brackets import trace_bracket_symbolic
+    assert trace_bracket_symbolic(1, (("y", 0),), (("x", 0), ("xi", 0))).terms == ()
+    assert WordSum(((1.0, (("x", 0), ("y", 0), ("xi", 0))),
+                    (-1.0, (("y", 0),)))).canonicalized(1).terms == ()
+
+
 def test_canonical_rotation():
     word = (("y", 0), ("x", 0), ("x", 1))
     assert canonical_rotation(word) == min(
