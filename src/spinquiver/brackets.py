@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import UnknownPair, WordTooLong
-from .words import MAX_WORD_LEN, WordSum, canonical_rotation, simplify_word
+from .words import MAX_WORD_LEN, WordSum
 
 HALF = 0.5
 
@@ -240,14 +240,7 @@ def trace_bracket_symbolic(m: int, w1, w2) -> WordSum:
     exactly (they are binary fractions), so identities like
     {tr x^k, tr x^l} = 0 and {tr y, tr x x^(-1)} = 0 produce an empty sum.
     """
-    acc = {}
-    for c, word in loday_word_terms(m, w1, w2):
-        w = simplify_word(word, m, cyclic=True)
-        if w is None:
-            continue
-        w = canonical_rotation(w)
-        acc[w] = acc.get(w, 0.0) + c
-    return WordSum(tuple((c, w) for w, c in acc.items() if c != 0))
+    return WordSum(loday_word_terms(m, w1, w2)).canonicalized(m)
 
 
 # -- moment-map words --------------------------------------------------------

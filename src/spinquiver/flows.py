@@ -35,21 +35,13 @@ with U^0 = 1 is not taken.
 Each call of the oracle binds these steps once to its own workspace, which
 holds one stack of slots per RK4 stage: a stage reads its state from two
 slots and writes dX and dM into two fixed slots, so the four slopes are one
-view, and the RK4 sum is built in a buffer of its own.  Each stage's steps
-are bound twice, all of them and the X-dependent ones alone.  The steps that
-read M alone (its powers and products, and at eta = 0 dM itself) rerun only
-when the stage's M bytes differ from those of that stage's last full
-evaluation; otherwise the values they left in its slots are the ones they
-would write again.  M is constant in exact arithmetic, and its bits stay
-put on every stage for trT at eta = 0 (dU = U@U - U@U = 0), on some stages
-for trZ and rarely for trY, whose dM is roundoff.  The trajectories are
-bit-identical to evaluating the fields product by product on CycleMatrix
-states: each product keeps its operands and association, a batched matmul
-multiplies each n x n block as a single one does, the identity gives finite
-entries back, the elementwise operations act on each entry alone, and a
-skipped step would have written the bits it left.  Neither dM nor M's work is folded
-symbolically or hoisted out of the step loop: either would change the
-trajectories in their last bits.
+view.  The trajectories are bit-identical to evaluating the fields product
+by product on CycleMatrix states: each product keeps its operands and
+association, a batched matmul multiplies each n x n block as a single one
+does, the identity gives finite entries back, and the elementwise operations
+act on each entry alone.  Neither dM nor M's work is folded symbolically
+(dU = U@U - U@U is 0 in exact arithmetic) or hoisted out of the step loop:
+either would change the trajectories in their last bits.
 
 Each vector field evaluates its eta-terms (Theta or Theta^(-1), the shift
 1 + eta Theta and the eta-weighted part of dX) only when eta != 0.  The
@@ -59,11 +51,9 @@ too, a trajectory that leaves the locus where Theta is defined stops there
 with SingularFactor instead of running on.  At eta != 0 the field's own
 inverse is the test.  At eta = 0 the inverse itself is unused, so the test
 is an LU factorization alone (_require_invertible), run once per RK4 step
-over the tested blocks of all four stages; a block of M alone is tested on
-the stages that ran their full evaluation, the others hold bytes that passed
-at an earlier step.  A singular stage then only feeds products into the
-later stages, which either overflow or reach the test, so every step stops
-where a per-stage test would stop it.
+over the tested blocks of all four stages.  A singular stage then only feeds
+products into the later stages, which either overflow or reach the test, so
+every step stops where a per-stage test would stop it.
 """
 
 from __future__ import annotations
@@ -168,11 +158,8 @@ def _require_invertible(blocks: np.ndarray) -> None:
     slogdet runs the same LU factorization as inv and reports sign 0 for an
     exact zero pivot; a non-finite block gives sign nan, which passes here
     as it does in inv.  Floating-point flags are ignored, as inv ignores them.
-    The oracle calls it once per RK4 step, on one (count, m, n, n) stack: the
-    tested blocks that depend on X, from all four stages, and those of M
-    alone (trT's U), from the stages that ran their full evaluation.  A
-    stage that skipped M's work holds M's bytes of an earlier step, whose
-    test passed on those same bytes.
+    The oracle calls it once per RK4 step, on the tested blocks of all four
+    stages in one (4, tested, m, n, n) stack.
     """
     with np.errstate(all="ignore"):
         sign = np.linalg.slogdet(blocks)[0]
@@ -316,13 +303,9 @@ class _Plan:
     level's products: these sit in consecutive slots, so one take gathers
     their left blocks and their right blocks shifted by the left degree (as
     CycleMatrix.__matmul__ shifts them), and one matmul writes them all.
-    steps lists every step; x_steps lists those that depend on X, the work
-    a stage reruns when its M keeps its bytes: each level's products of M
-    alone sit first in its slot range, and x_steps' take and matmul cover
-    the rest of it.  Domain tests are not steps: the plan records the slots
-    they name, split the same way, and _Workspace.test checks them once per
-    RK4 step.  The plan holds read-only index arrays only (tested_rows
-    memoizes them); each oracle call owns a workspace.
+    Domain tests are not steps: the plan records the slots they name in
+    tested, and _Workspace.test checks them once per RK4 step.  The plan
+    holds read-only index arrays only; each oracle call owns a workspace.
     """
 
     def __init__(self, trace: dict, outputs: tuple, m: int, n: int):
@@ -337,11 +320,9 @@ class _Plan:
                     folded.add(y)
                     break
         nodes = [node for node in nodes if node not in folded]
-        level, reads_x = {}, {nodes[0]}
+        level = {}
         for node in nodes:
             level[node] = 1 + max((level[a] for a in node.args), default=-1)
-            if reads_x.intersection(node.args):
-                reads_x.add(node)
         if outputs[0] is outputs[1] or any(level[node] == 0 or node.op == "mm"
                                            for node in outputs):
             raise ValueError("a field's dX and dM must be two values that are not products")
@@ -350,7 +331,7 @@ class _Plan:
             if level[node] == 0:            # the identities
                 slot.setdefault(node, len(slot))
         self.ones = [slot[node] for node in nodes if node.op == "one"]
-        self.steps, self.x_steps, tested, self.gather = [], [], [], 0
+        self.steps, tested, self.gather = [], [], 0
         for lev in range(1, max(level.values()) + 1):
             at = [node for node in nodes if level[node] == lev]
             for node in at:
@@ -364,21 +345,15 @@ class _Plan:
                     elif node.op == "inv":      # the inverse's block s + deg inverts block s
                         step += (_shifted(m, -node.args[0].deg),)
                     self.steps.append(step)
-                    if node in reads_x:
-                        self.x_steps.append(step)
-            products = sorted((node for node in at if node.op == "mm"), key=reads_x.__contains__)
+            products = [node for node in at if node.op == "mm"]
             if products:
                 lo = len(slot)
                 for node in products:
                     slot[node] = len(slot)
                 self.steps.append(self._products(products, slot, lo))
-                first = lo + sum(node not in reads_x for node in products)
-                if first < len(slot):
-                    self.x_steps.append(self._products(products[first - lo:], slot, first))
         self.slots = len(slot)
-        self.tested_x = [slot[node] for node in tested if node in reads_x]
-        self.tested_m = [slot[node] for node in tested if node not in reads_x]
-        self._tested_rows = {}
+        self.tested = np.array([slot[node] for node in tested], dtype=np.intp)
+        self.tested.setflags(write=False)
         self.degrees = tuple(node.deg for node in outputs)
         self.eye = np.eye(n)
         self.eye.setflags(write=False)
@@ -393,8 +368,8 @@ class _Plan:
         self.gather = max(self.gather, len(idx))
         return ("mm", idx, lo * m, (lo + len(products)) * m)
 
-    def bind(self, work: np.ndarray, gather: np.ndarray, eta, steps: list) -> list:
-        """steps bound to one stage's slots work (slots, m, n, n), gather buffer and eta.
+    def bind(self, work: np.ndarray, gather: np.ndarray, eta) -> list:
+        """The steps bound to one stage's slots work (slots, m, n, n), gather buffer and eta.
 
         Every out is passed by position, which spares each call a keyword
         merge.  take writes into its out without a buffer only in a mode
@@ -403,7 +378,7 @@ class _Plan:
         """
         flat = work.reshape(-1, self.n, self.n)
         calls = []
-        for op, *args in steps:
+        for op, *args in self.steps:
             if op == "mm":
                 idx, lo, hi = args
                 both = gather[:len(idx)]
@@ -423,24 +398,12 @@ class _Plan:
                                      work[args[0]], work[args[1]]))
         return calls
 
-    def tested_rows(self, full: tuple) -> np.ndarray:
-        """The rows of a (stages * slots, m, n, n) workspace that one step's domain test
-        reads: the X-dependent tested slots of every stage, the M-only ones of the
-        stages whose flag in full is set."""
-        rows = self._tested_rows.get(full)
-        if rows is None:
-            rows = [i * self.slots + s for i in range(len(full)) for s in self.tested_x]
-            rows += [i * self.slots + s for i, ran in enumerate(full) if ran
-                     for s in self.tested_m]
-            rows = self._tested_rows[full] = np.array(rows, dtype=np.intp)
-            rows.setflags(write=False)
-        return rows
-
     def evaluate(self, X: np.ndarray, M: np.ndarray, eta) -> np.ndarray:
         """The field at one state, dX and dM in one (2, m, n, n) stack, after its domain test."""
         ws = _Workspace(self, eta, stages=1)
         ws.work[0, 0], ws.work[0, 1] = X, M
-        ws.test((ws.run(0),))
+        ws.run(0)
+        ws.test()
         return ws.slopes[0]
 
 
@@ -448,12 +411,7 @@ class _Workspace:
     """One oracle call's workspace: a stack of the plan's slots per RK4 stage.
 
     Stage i reads its state from its slots 0 and 1 and leaves its slope in
-    slots 2 and 3, so the stages' slopes are the view slopes.  Each stage's
-    steps are bound twice: all of them, and the X-dependent ones alone.  A
-    stage runs the second binding when its M has the bytes of its own last
-    full evaluation: the values of M alone (its powers and products, and at
-    eta = 0 dM itself) are still in its slots, and the same steps on the
-    same bytes would write the same bits.
+    slots 2 and 3, so the stages' slopes are the view slopes.
     """
 
     def __init__(self, plan: _Plan, eta, stages: int = 4):
@@ -461,28 +419,19 @@ class _Workspace:
         self.plan = plan
         self.work = np.empty((stages, plan.slots, m, n, n), dtype=complex)
         self.work[:, plan.ones] = plan.eye
-        self.rows = self.work.reshape(-1, m, n, n)
         self.states, self.slopes = list(self.work[:, :2]), self.work[:, 2:4]
         gather = np.empty((plan.gather, n, n), dtype=complex)
-        self.full = [plan.bind(work, gather, eta, plan.steps) for work in self.work]
-        self.x_only = [plan.bind(work, gather, eta, plan.x_steps) for work in self.work]
-        self.seen = [None] * stages         # M's bytes at each stage's last full evaluation
+        self.calls = [plan.bind(work, gather, eta) for work in self.work]
 
-    def run(self, stage: int) -> bool:
-        """Write the field at the stage's state into its slope; True if every step ran."""
-        M = self.states[stage][1].tobytes()
-        full = M != self.seen[stage]
-        for call in (self.full if full else self.x_only)[stage]:
+    def run(self, stage: int) -> None:
+        """Write the field at the stage's state into its slope."""
+        for call in self.calls[stage]:
             call()
-        if full:
-            self.seen[stage] = M
-        return full
 
-    def test(self, full: tuple) -> None:
-        """The domain test of one step whose stages ran their full evaluation where full says."""
-        rows = self.plan.tested_rows(full)
-        if rows.size:
-            _require_invertible(self.rows.take(rows, 0))
+    def test(self) -> None:
+        """The domain test of one step: the tested blocks of every stage."""
+        if self.plan.tested.size:
+            _require_invertible(self.work.take(self.plan.tested, 1))
 
 
 def _inverse_into(blocks: np.ndarray, shift: np.ndarray, out: np.ndarray) -> None:
@@ -528,8 +477,7 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
     Theta is tested at every eta, so that an eta = 0 run stops where Theta
     stops being defined, as it would if the eta-terms were evaluated and
     multiplied by 0.  At eta = 0 that test runs once per step, after the
-    fourth stage, on the tested blocks of all four stages (those of M alone
-    on the stages that ran their full evaluation, _Workspace.run).
+    fourth stage, on the tested blocks of all four stages.
     """
     spec = point.spec
     if samples < 1:
@@ -543,7 +491,6 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
     stages, slopes = ws.states, list(ws.slopes)
     state = stages[0]                       # the first stage evaluates at the state itself
     state[0], state[1] = X.blocks, M.blocks
-    twice = np.empty((2,) + state.shape, dtype=complex)
     total = np.empty_like(state)
 
     h = flow.time / flow.steps
@@ -553,18 +500,18 @@ def ode_oracle(point: RepPoint, flow: FlowSpec, params: ParameterSet | None = No
     for step in range(1, flow.steps + 1):
         try:
             with np.errstate(over="raise", invalid="raise"):
-                full = [ws.run(0)]
+                ws.run(0)
                 for i, c in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
                     np.add(state, np.multiply(c, slopes[i - 1], stages[i]), stages[i])
-                    full.append(ws.run(i))
-                ws.test(tuple(full))
+                    ws.run(i)
+                ws.test()
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
             err = SingularFactor(f"oracle singular at step {step}", traj)
             raise err from exc
         # state + h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
-        np.multiply(2, ws.slopes[1:3], twice)
-        np.add(slopes[0], twice[0], total)
-        np.add(total, twice[1], total)
+        np.multiply(2, ws.slopes[1:3], ws.slopes[1:3])
+        np.add(slopes[0], slopes[1], total)
+        np.add(total, slopes[2], total)
         np.add(total, slopes[3], total)
         np.multiply(h / 6.0, total, total)
         np.add(state, total, state)

@@ -77,13 +77,13 @@ def _cancels(a, b) -> bool:
     return _INVERSE_KIND.get(a[0]) == b[0] and a[1] == b[1]
 
 
-def simplify_word(word, m: int, cyclic: bool = False):
-    """Drop redundant idempotents and cancel adjacent inverse letters; None if zero.
+def simplify_word(word, m: int):
+    """Drop redundant idempotents and cancel inverse letters; None if the word is zero.
 
-    A zero word arises when consecutive letters do not compose.  A word that
-    reduces to idempotents only becomes the idempotent (e, v) at its tail.
-    With cyclic=True a closed word is read under a trace, so its last letter
-    also cancels against its first.
+    A zero word arises when consecutive letters do not compose.  Words are
+    read under a trace, so a closed word's last letter also cancels against
+    its first.  A word that reduces to idempotents only becomes the
+    idempotent (e, v) at its tail.
     """
     ends = word_tail_head(word, m)
     if ends is None:
@@ -96,7 +96,7 @@ def simplify_word(word, m: int, cyclic: bool = False):
             kept.pop()
         else:
             kept.append(letter)
-    while cyclic and ends[0] == ends[1] and len(kept) > 1 and _cancels(kept[-1], kept[0]):
+    while ends[0] == ends[1] and len(kept) > 1 and _cancels(kept[-1], kept[0]):
         kept = kept[1:-1]
     return tuple(kept) if kept else (("e", ends[0]),)
 
@@ -140,7 +140,7 @@ class WordSum:
     def canonicalized(self, m: int) -> "WordSum":
         out = {}
         for coeff, word in self.terms:
-            w = simplify_word(word, m, cyclic=True)
+            w = simplify_word(word, m)
             if w is None:
                 continue
             w = canonical_rotation(w)

@@ -513,32 +513,13 @@ def test_oracle_stops_at_a_later_singular_stage():
     assert len(got[0]) == 1
 
 
-def _recording_stages(monkeypatch):
-    """A list that records, per field evaluation of the oracle, whether it ran every step."""
-    run, fulls = flows._Workspace.run, []
-
-    def recorded(self, stage):
-        full = run(self, stage)
-        fulls.append(full)
-        return full
-
-    monkeypatch.setattr(flows._Workspace, "run", recorded)
-    return fulls
-
-
 @pytest.mark.parametrize("ham, k, per_stage", [("trZ", 2, 1), ("trY", 2, 1), ("trT", 1, 2),
                                                ("trT", 3, 2)])
 def test_domain_test_runs_once_per_step(tame, monkeypatch, ham, k, per_stage):
     # at eta = 0, one _require_invertible call per step, on the tested blocks
-    # that depend on X of all four stages, and on those of M alone (trT's U)
-    # of the stages that ran their full evaluation; at eta != 0 the field's
-    # own inverses test, and none
+    # of all four stages; at eta != 0 the field's own inverses test, and none
     point, spec, params = tame
     m, n = spec.m, spec.n
-    plan = flows._plan(ham, k, m, n, True)
-    x_tested, m_tested = len(plan.tested_x), len(plan.tested_m)
-    assert (x_tested, m_tested) == ((1, 1) if ham == "trT" else (1, 0))
-    assert x_tested + m_tested == per_stage
     require, shapes = flows._require_invertible, []
 
     def recorded(blocks):
@@ -546,41 +527,20 @@ def test_domain_test_runs_once_per_step(tame, monkeypatch, ham, k, per_stage):
         require(blocks)
 
     monkeypatch.setattr(flows, "_require_invertible", recorded)
-    fulls = _recording_stages(monkeypatch)
     ode_oracle(point, FlowSpec(ham, k, 0.2, 0.0, 7), params)
-    assert len(fulls) == 4 * 7
-    full_stages = [sum(fulls[4 * step:4 * step + 4]) for step in range(7)]
-    assert shapes == [(4 * x_tested + ran * m_tested, m, n, n) for ran in full_stages]
-    assert full_stages[0] == 4
+    assert shapes == [(4, per_stage, m, n, n)] * 7
+    assert len(flows._plan(ham, k, m, n, True).tested) == per_stage
     shapes.clear()
     ode_oracle(point, FlowSpec(ham, k, 0.2, 0.3 - 0.2j, 7), params)
     assert shapes == []
-    plan = flows._plan(ham, k, m, n, False)
-    assert plan.tested_x == plan.tested_m == []
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("ham, seed, steps", [("trZ", 3, 200), ("trT", 5, 60)])
-def test_oracle_reuses_the_work_of_M_alone(monkeypatch, ham, seed, steps):
-    # at eta = 0 trT's U is exactly constant, and trZ's Z at m = 3 keeps its
-    # bytes on some stages only, so one trajectory runs both the full
-    # evaluation and the X-dependent steps alone, and still matches the
-    # per-stage loop bit for bit
-    point, spec, params = tame_point(3, 3, 6, seed=seed)
-    fs = FlowSpec(ham, 1 if ham == "trT" else spec.m, 1.0, 0.0, steps)
-    fulls = _recording_stages(monkeypatch)
-    got = _trajectory(lambda: ode_oracle(point, fs, params))
-    graded = HAMILTONIANS[ham][1]
-    _assert_same_trajectory(got, _trajectory(lambda: ode_oracle_loop(point, fs, graded)))
-    assert got[2] is None
-    assert fulls.count(True) > 0 and fulls.count(False) > 0, fulls.count(True)
+    assert len(flows._plan(ham, k, m, n, False).tested) == 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflowing_product_of_M_alone_is_singular_factor():
-    # Y scaled by 1e155 makes U = 1 + XY about 1e155, so trT's U @ U, a
-    # product of M alone, overflows while U @ X does not; both oracles stop
-    # at the same step with the same message
+    # Y scaled by 1e155 makes U = 1 + XY about 1e155, so trT's U @ U
+    # overflows while U @ X does not; both oracles stop at the same step
+    # with the same message
     point, _spec, params = tame_point(2, 2, 3, seed=5)
     point = RepPoint.make(point.spec, point.X, [1e155 * y for y in point.Y], point.V, point.W)
     fs = FlowSpec("trT", 1, 1.0, 0.0, 20)
@@ -672,7 +632,6 @@ def test_plans_fold_products_with_the_identity():
     zero_eta = flows._plan("trT", 1, m, n, True)
     assert sum(len(args[0]) for op, *args in zero_eta.steps if op == "mm") == 2 * 2 * m
     assert [op for op, *_args in zero_eta.steps] == ["mm", "neg", "sub"]
-    assert [op for op, *_args in zero_eta.x_steps] == ["mm", "neg"]
     # trY at m = k = 1 still reads U^0 = 1 through -U^0 in dX
     assert _mm_levels_and_one_reads(flows._plan("trY", 1, 1, n, True))[1]
 

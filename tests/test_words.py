@@ -38,13 +38,14 @@ def test_simplify_cancels_inverse_letters():
     m = 1
     x, xi, y, yi = ("x", 0), ("xi", 0), ("y", 0), ("yi", 0)
     assert simplify_word((x, y, yi, xi, y), m) == (y,)
-    # a closed word also cancels across its ends under a trace, and a word
-    # that cancels completely is the idempotent at its tail
-    assert simplify_word((x, y, xi), m) == (x, y, xi)
-    assert simplify_word((x, y, xi), m, cyclic=True) == (y,)
-    assert simplify_word((("zi", 1), ("z", 1)), 2, cyclic=True) == (("e", 1),)
+    # a closed word also cancels across its ends under a trace, an open word
+    # x_0 y_0 y_0^(-1) at m = 2 only inside, and a word that cancels
+    # completely is the idempotent at its tail
+    assert simplify_word((x, y, xi), m) == (y,)
+    assert simplify_word((("x", 0), ("y", 0), ("yi", 0)), 2) == (("x", 0),)
+    assert simplify_word((("zi", 1), ("z", 1)), 2) == (("e", 1),)
     # the commutator x y x^(-1) y^(-1) has no adjacent inverse pair, at either end
-    assert simplify_word((x, y, xi, yi), m, cyclic=True) == (x, y, xi, yi)
+    assert simplify_word((x, y, xi, yi), m) == (x, y, xi, yi)
 
 
 def test_trace_bracket_of_a_cancelling_word_is_empty():
