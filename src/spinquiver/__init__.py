@@ -25,8 +25,8 @@ from .families import (EtaPolynomial, TotalMatrices, cy2_rank, family_gradients,
                        total_matrices)
 from .tadpole import (chain_bracket, closed_form_fg_bracket, coord_bracket,
                       coordinate_ids, g_value)
-from .flows import (FlowSpec, Trajectory, conservation_report, expm, flow_T, flow_Y,
-                    flow_Z, ode_oracle, phi1)
+from .flows import (FlowSpec, Trajectory, expm, flow_T, flow_Y, flow_Z, ode_oracle,
+                    phi1)
 from .reduction import (DualPoint, HElement, dual_params, dual_point, h_act,
                         h_invariant_value, lambda_gauge, minors_nonzero, random_h,
                         trY2_closed_form, trZ2_closed_form)

@@ -161,7 +161,7 @@ def _load_point(path: str):
     try:
         data = sqio.read_json(path)
         return sqio.point_from_dict(data)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, LookupError, AttributeError, TypeError, ValueError, ZeroParameter) as exc:
         raise UsageError(f"cannot read point file {path}: {exc}") from exc
 
 
@@ -289,7 +289,7 @@ def _check_rank(args) -> None:
         path, spec = args.coords, args.spec
         try:
             args.coords = sqio.coords_from_dict(sqio.read_json(path))
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, LookupError, AttributeError, TypeError, ValueError) as exc:
             raise UsageError(f"cannot read coordinates file {path}: {exc}") from exc
         n, d = args.coords.n, args.coords.d
         if (n, d) != (spec.n, spec.d):

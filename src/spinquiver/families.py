@@ -35,8 +35,8 @@ from .points import (LocalCoordinates, RepPoint, ReducedQuadruple, cycle_matrix,
 from .words import WordSum, letter_tail_head
 
 FAMILIES = (1, 2, 3, 4)
-# the rank rule's defaults: singular values above _SV_TOL of the largest count,
-# and the ratio across that cut must reach _GAP_FACTOR
+# the rank rule: singular values above _SV_TOL of the largest count, and the
+# ratio across that cut must reach _GAP_FACTOR
 _SV_TOL = 1e-7
 _GAP_FACTOR = 10.0
 
@@ -312,41 +312,6 @@ def index_set(n: int, d: int):
     return tuple((j, l) for j in range(1, n + 1) for l in range(0, min(j - 1, d) + 1))
 
 
-def _pack_coords(coords: LocalCoordinates) -> np.ndarray:
-    n, d = coords.n, coords.d
-    parts = [coords.x]
-    if d > 1:
-        parts.append(coords.a[:, :d - 1].reshape(-1))
-    parts.append(coords.c.reshape(-1))
-    return np.concatenate(parts)
-
-
-def _unpack_coords(vec: np.ndarray, n: int, d: int) -> LocalCoordinates:
-    x = vec[:n]
-    pos = n
-    a = np.zeros((n, d), dtype=complex)
-    if d > 1:
-        a[:, :d - 1] = vec[pos:pos + n * (d - 1)].reshape(n, d - 1)
-        pos += n * (d - 1)
-    a[:, d - 1] = 1.0 - a[:, :d - 1].sum(axis=1)
-    c = vec[pos:pos + d * n].reshape(d, n)
-    # bypass normalization: rows already sum to one by construction
-    obj = LocalCoordinates(x=x, a=a, c=c)
-    return obj
-
-
-def _coefficient_functions(coords: LocalCoordinates, family: str,
-                           params: ParameterSet) -> np.ndarray:
-    quad = quadruple_from_coordinates(coords, params)
-    out = []
-    n, d = coords.n, coords.d
-    for j in range(1, n + 1):
-        poly = reduced_poly(family, quad, params, j)
-        for l in range(0, min(j - 1, d) + 1):
-            out.append(poly.coeffs[l])
-    return np.array(out)
-
-
 # analytic gradients of the reduced families on the coordinate chart; these
 # avoid the finite-difference noise floor that otherwise masks the smallest
 # genuine singular values of the coefficient Jacobian
@@ -439,53 +404,25 @@ def coefficient_jacobian(coords: LocalCoordinates, family: str,
     return values, jac
 
 
-def independence_rank(coords: LocalCoordinates, family: str, params: ParameterSet,
-                      step: float = 1e-6, sv_tol: float = _SV_TOL,
-                      gap_factor: float = _GAP_FACTOR, method: str = "analytic"):
+def independence_rank(coords: LocalCoordinates, family: str, params: ParameterSet):
     """Numerical rank of the coefficient family on the 2nd free coordinates.
 
-    With method="analytic" (default) the complex Jacobian comes from exact
-    adjoint differentiation; method="fd" uses central differences on the real
-    and imaginary parts separately.  Either way the functions are holomorphic,
-    so the real rank is even and the complex rank is half of it; the returned
-    singular values are those of the real Jacobian (each complex value twice).
+    The complex Jacobian comes from exact adjoint differentiation.  The
+    functions are holomorphic, so the real rank is even and the complex rank
+    is half of it; the returned singular values are those of the real
+    Jacobian (each complex value twice).
 
     Rows are equilibrated before the SVD because coefficient magnitudes span
-    many orders.  Raises IllConditioned when the gap at the threshold cut is
-    below the required factor or sub-threshold values sit above the noise
-    floor of the differentiation scheme.
+    many orders.  Raises IllConditioned when the gap at the _SV_TOL cut is
+    below _GAP_FACTOR or sub-threshold values sit above the noise floor of the
+    analytic Jacobian.
 
     Returns (rank, singular_values).
     """
-    n, d = coords.n, coords.d
-    if method == "analytic":
-        _, jac_c = coefficient_jacobian(coords, family, params)
-        rank, sv_c = _decide_rank(jac_c, sv_tol, gap_factor, noise_floor=1e-11)
-        # the real Jacobian has each complex singular value twice
-        return rank, np.sort(np.concatenate([sv_c, sv_c]))[::-1]
-    if method != "fd":
-        raise ValueError("method must be 'analytic' or 'fd'")
-    base = _pack_coords(coords)
-    n_complex = base.size
-
-    def evaluate(vec):
-        return _coefficient_functions(_unpack_coords(vec, n, d), family, params)
-
-    # jac[f] holds the real and the imaginary row of function f
-    jac = np.zeros((len(index_set(n, d)), 2, 2 * n_complex))
-    for k in range(n_complex):
-        for part, delta in ((0, step), (1, 1j * step)):
-            plus = np.array(base)
-            minus = np.array(base)
-            plus[k] += delta
-            minus[k] -= delta
-            deriv = (evaluate(plus) - evaluate(minus)) / (2 * step)
-            jac[:, 0, 2 * k + part] = deriv.real
-            jac[:, 1, 2 * k + part] = deriv.imag
-    rank_real, svals = _decide_rank(jac, sv_tol, gap_factor, noise_floor=1e-8)
-    if rank_real % 2:
-        raise IllConditioned("real Jacobian rank is odd; holomorphy violated")
-    return rank_real // 2, svals
+    _, jac_c = coefficient_jacobian(coords, family, params)
+    rank, sv_c = _decide_rank(jac_c, _SV_TOL, _GAP_FACTOR, noise_floor=1e-11)
+    # the real Jacobian has each complex singular value twice
+    return rank, np.sort(np.concatenate([sv_c, sv_c]))[::-1]
 
 
 def _decide_rank(jac: np.ndarray, sv_tol: float, gap_factor: float,
@@ -517,39 +454,33 @@ def _decide_rank(jac: np.ndarray, sv_tol: float, gap_factor: float,
 
 # -- degenerate integrability ---------------------------------------------------
 
-def qu_generator(point: RepPoint, alpha: int, beta: int, ell: int, U: str,
-                 engine: PointEngine | None = None) -> complex:
+def qu_generator(eng: PointEngine, alpha: int, beta: int, ell: int, U: str) -> complex:
     """tr(W_alpha V_beta U^(l m)), the framing vectors meeting the vertex-0 block of U^(l m)."""
-    eng = engine or PointEngine(point)
     power = ell * cycle_period(U, eng.m)
-    U00 = cycle_matrix(point, U).power(power).block(0, 0)
+    U00 = cycle_matrix(eng.point, U).power(power).block(0, 0)
     W, V = eng.letter_block(("w", alpha)), eng.letter_block(("v", beta))
     return complex(np.trace(W @ V @ U00))
 
 
-def qu_gradients(point: RepPoint, alpha: int, beta: int, ell: int, U: str,
-                 engine: PointEngine | None = None) -> Gradient:
+def qu_gradients(eng: PointEngine, alpha: int, beta: int, ell: int, U: str) -> Gradient:
     """Gradient of tr(W_alpha V_beta U^(l m)) over the base generators."""
-    eng = engine or PointEngine(point)
     m, n = eng.m, eng.n
     W, V = eng.letter_block(("w", alpha)), eng.letter_block(("v", beta))
-    Uc = cycle_matrix(point, U)
+    Uc = cycle_matrix(eng.point, U)
     K = ell * cycle_period(U, m)
     UK00 = Uc.power(K).block(0, 0)
     WV = CycleMatrix.of_letters("e", [W @ V] + [np.zeros((n, n))] * (m - 1))
     Q_U = CycleMatrix((K - 1) * Uc.deg, np.zeros_like(Uc.blocks))
     for p in range(K):
         Q_U = Q_U + Uc.power(K - 1 - p) @ WV @ Uc.power(p)
-    return eng.letter_gradients(_cycle_pairs(eng, _u_chain(point, U, Q_U))
+    return eng.letter_gradients(_cycle_pairs(eng, _u_chain(eng.point, U, Q_U))
                                 + [(("w", alpha), V @ UK00), (("v", beta), UK00 @ W)])
 
 
-def power_trace_gradients(point: RepPoint, U: str, K: int,
-                          engine: PointEngine | None = None) -> Gradient:
+def power_trace_gradients(eng: PointEngine, U: str, K: int) -> Gradient:
     """Gradient of tr U^K for U in {x, y, z, t=1+xy} cycle matrices."""
-    eng = engine or PointEngine(point)
-    Q_U = K * cycle_matrix(point, U).power(K - 1)
-    return eng.letter_gradients(_cycle_pairs(eng, _u_chain(point, U, Q_U)))
+    Q_U = K * cycle_matrix(eng.point, U).power(K - 1)
+    return eng.letter_gradients(_cycle_pairs(eng, _u_chain(eng.point, U, Q_U)))
 
 
 def _u_chain(point: RepPoint, U: str, Q_U: CycleMatrix) -> dict:
@@ -567,19 +498,18 @@ def _flatten_grads(eng: PointEngine, grads: dict) -> np.ndarray:
                            for g in keys])
 
 
-def cy2_rank(point: RepPoint, U: str, engine: PointEngine | None = None):
+def cy2_rank(eng: PointEngine, U: str):
     """Rank of the 2n functions tr U^(jm), tr(W_1 V_1 U^(jm)) on matrix entries.
 
     Uses the exact gradients as Jacobian rows.  Returns
     (rank, singular_values); complains via IllConditioned on a weak gap.
     """
-    eng = engine or PointEngine(point)
     n = eng.n
     rows = []
     for j in range(1, n + 1):
         K = j * cycle_period(U, eng.m)
-        rows.append(_flatten_grads(eng, power_trace_gradients(point, U, K, engine=eng)))
-        rows.append(_flatten_grads(eng, qu_gradients(point, 1, 1, j, U, engine=eng)))
+        rows.append(_flatten_grads(eng, power_trace_gradients(eng, U, K)))
+        rows.append(_flatten_grads(eng, qu_gradients(eng, 1, 1, j, U)))
     return _decide_rank(np.array(rows), _SV_TOL, _GAP_FACTOR)
 
 

@@ -532,25 +532,3 @@ def closed_form_flow(point: RepPoint, flow: FlowSpec) -> RepPoint:
         raise ValueError("closed forms exist only at eta = 0")
     return HAMILTONIANS[flow.hamiltonian].closed_form(point, flow.k, flow.time)
 
-
-def conservation_report(point: RepPoint, flow: FlowSpec, observables: dict,
-                        params: ParameterSet | None = None,
-                        samples: int = 10) -> dict:
-    """Evaluate named observables along the oracle trajectory; report max drift.
-
-    observables maps name -> callable(RepPoint) -> complex/float.  The report
-    holds per-name initial value, max absolute drift, and relative drift.
-    Raises ValueError, through ode_oracle, unless samples >= 1.
-    """
-    traj = ode_oracle(point, flow, params, samples=samples)
-    report = {}
-    for name, fn in observables.items():
-        series = [complex(fn(p)) for p in traj.points]
-        base = series[0]
-        drift = max(abs(v - base) for v in series)
-        report[name] = {
-            "initial": base,
-            "max_drift": drift,
-            "rel_drift": drift / max(1.0, abs(base)),
-        }
-    return report

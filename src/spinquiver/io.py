@@ -46,6 +46,8 @@ def point_to_dict(point: RepPoint, params: ParameterSet) -> dict:
 
 def point_from_dict(data: dict):
     spec = ModelSpec(**{k: int(v) for k, v in data["spec"].items()})
+    if len(data["q"]) != spec.m:
+        raise ValueError(f"need {spec.m} deformation parameters q, got {len(data['q'])}")
     params = derive_params([decode_complex(v) for v in data["q"]], spec.n)
     point = RepPoint.make(
         spec,

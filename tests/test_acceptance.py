@@ -329,13 +329,13 @@ def test_criterion_09_two_spin_integrability():
             grads = []
             for j in range(1, n + 1):
                 K = j * m if U in ("x", "y", "z") else j
-                grads.append(power_trace_gradients(point, U, K, engine=eng))
-                grads.append(qu_gradients(point, 1, 1, j, U, engine=eng))
+                grads.append(power_trace_gradients(eng, U, K))
+                grads.append(qu_gradients(eng, 1, 1, j, U))
             for i, g1 in enumerate(grads):
                 for g2 in grads[i + 1:]:
                     val, mass = eng.bracket_gradients(g1, g2, with_mass=True)
                     worst = max(worst, abs(val) / max(1.0, mass))
-            rank, _ = cy2_rank(point, U, engine=eng)
+            rank, _ = cy2_rank(eng, U)
             ranks_ok = ranks_ok and (rank == 2 * n)
     emit(9, "pairwise involution of the 2n-function families", worst, 1e-8)
     emit(9, "rank defect of the 2n-function families", 0.0 if ranks_ok else 1.0, 0.0)
@@ -410,11 +410,11 @@ def test_criterion_12_degenerate_integrability():
         for U in ("z", "y"):
             worst_spect = max(worst_spect, spect_residual(point, params, U) / scale)
             for k in (1, 2):
-                gk = power_trace_gradients(point, U, k * m, engine=eng)
+                gk = power_trace_gradients(eng, U, k * m)
                 for l in (0, 1):
                     for a in range(1, d + 1):
                         for b in range(1, d + 1):
-                            gl = qu_gradients(point, a, b, l, U, engine=eng)
+                            gl = qu_gradients(eng, a, b, l, U)
                             val, mass = eng.bracket_gradients(gk, gl, with_mass=True)
                             worst_center = max(worst_center, abs(val) / max(1.0, mass))
     emit(12, "spectral conjugation identity residual on-shell", worst_spect, 1e-9)

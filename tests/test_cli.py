@@ -310,6 +310,40 @@ def test_verify_reports_a_singular_inverse(tmp_path, case, message):
     assert [line for line in out.stderr.splitlines() if line.startswith("error:")] == [message]
 
 
+def _malformed_input(case):
+    """(argv tail, file contents) for an input file whose shape the command cannot use."""
+    from spinquiver import ModelSpec, derive_params, random_coordinates
+    coords = sqio.coords_to_dict(random_coordinates(ModelSpec(1, 1, 2),
+                                                    derive_params([0.7 + 0.2j], 2), 1))
+    rank = ["rank", "--spec", "1,1,2", "--coords"]
+    point = _singular_verify_point("Z")
+    return {
+        "coords-a-vector": (rank, dict(coords, a=[row[0] for row in coords["a"]])),
+        "coords-x-pair": (rank, dict(coords, x=coords["x"][0])),
+        "coords-list": (rank, [coords]),
+        "point-X-matrix": (["verify"], dict(point, X=point["X"][0])),
+        "point-spec-without-n": (["verify"], dict(point, spec={"m": 1, "d": 1})),
+        "point-zero-q": (["verify"], dict(point, q=[[0.0, 0.0]])),
+        "point-q-longer-than-m": (["verify"], dict(point, q=[[0.7, 0.2], [1.1, 0.0]])),
+        "point-q-not-a-pair": (["verify"], dict(point, q=["a"])),
+        "point-spec-list": (["verify"], dict(point, spec=[1, 1, 2])),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["coords-a-vector", "coords-x-pair", "coords-list",
+                                  "point-X-matrix", "point-spec-without-n", "point-zero-q",
+                                  "point-q-longer-than-m", "point-q-not-a-pair",
+                                  "point-spec-list"])
+def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, case):
+    argv, contents = _malformed_input(case)
+    path = str(tmp_path / "in.json")
+    sqio.write_json(path, contents)
+    assert run(argv + [path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.fullmatch(r"error: cannot read (point|coordinates) file \S+: .+\n", err)
+
+
 def test_coords_round_trip_io(tmp_path):
     from spinquiver import random_coordinates
     from conftest import make_setup

@@ -341,10 +341,10 @@ def test_bracket_gradients_matches_loop_on_mixed_shapes(m, d, n, seed):
     eng = PointEngine(point, params)
     grads = [eng.grad_trace_wordsum(spin_trace_word(1, d, m + 1, m)),
              eng.grad_trace_wordsum(spin_trace_word(d, 1, 2 * m + 1, m)),
-             qu_gradients(point, 1, d, 1, "z", engine=eng),
-             qu_gradients(point, d, 1, 0, "y", engine=eng),
-             power_trace_gradients(point, "t", 2, engine=eng),
-             power_trace_gradients(point, "x", m, engine=eng)]
+             qu_gradients(eng, 1, d, 1, "z"),
+             qu_gradients(eng, d, 1, 0, "y"),
+             power_trace_gradients(eng, "t", 2),
+             power_trace_gradients(eng, "x", m)]
     # the spin words and qu generators carry 1 x n and n x 1 framing blocks
     assert {D.shape for g in grads for D in g.values()} > {(n, n)}
     for i, g1 in enumerate(grads):
@@ -387,7 +387,7 @@ def test_bracket_gradients_plan_keeps_no_values(m, d, n, seed):
 def test_bracket_gradients_key_order(m, d, n, seed, rng):
     point, spec, params = make_point(m, d, n, seed)
     eng = PointEngine(point, params)
-    g1 = qu_gradients(point, 1, d, 1, "z", engine=eng)
+    g1 = qu_gradients(eng, 1, d, 1, "z")
     g2 = family_gradients(eng, 4, m, 0.37 - 0.21j)
     val, mass = eng.bracket_gradients(g1, g2, with_mass=True)
 
@@ -425,8 +425,8 @@ def test_gradient_is_an_immutable_mapping():
     with pytest.raises(TypeError):
         g[("x", 0)] = np.zeros((2, 2))
     for grad in (eng.grad_trace_wordsum(spin_trace_word(1, 2, 3, 2)),
-                 qu_gradients(point, 1, 2, 1, "z", engine=eng),
-                 power_trace_gradients(point, "t", 2, engine=eng)):
+                 qu_gradients(eng, 1, 2, 1, "z"),
+                 power_trace_gradients(eng, "t", 2)):
         assert isinstance(grad, Gradient)
         assert not any(D.flags.writeable for D in grad.values())
 

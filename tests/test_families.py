@@ -12,12 +12,11 @@ from spinquiver import (ModelSpec, PointEngine, cy2_rank, derive_params, family_
                         reduced_F, reduced_G, reduced_H, reduced_poly,
                         reduced_quadruple, spect_residual, spectral_coeffs,
                         total_matrices)
+from spinquiver import families
 from spinquiver.errors import IllConditioned, SingularFactor
-from spinquiver.families import (FAMILIES, _coefficient_functions, _grad_packed,
-                                 _pack_coords, _unpack_coords, big_C_constant,
-                                 big_K_constant, coefficient_jacobian, family_word_sum,
-                                 index_set)
-from spinquiver.points import quadruple_from_coordinates, theta_blocks
+from spinquiver.families import (FAMILIES, _grad_packed, big_C_constant, big_K_constant,
+                                 coefficient_jacobian, family_word_sum, index_set)
+from spinquiver.points import LocalCoordinates, quadruple_from_coordinates, theta_blocks
 
 from conftest import (coefficient_jacobian_by_interpolation, coefficient_jacobian_per_row,
                       cycle_blocks, cycle_total, grad_packed_per_row, make_point, make_setup)
@@ -263,11 +262,11 @@ def test_u_gradients_match_reference(grad_point, U):
     point, eng = grad_point
     Ut = _ref_u_total(point, U)
     for K in (1, eng.m, 2 * eng.m):
-        _assert_same_grads(power_trace_gradients(point, U, K, engine=eng),
+        _assert_same_grads(power_trace_gradients(eng, U, K),
                            _ref_distribute_u_grad(eng, U, K * np.linalg.matrix_power(Ut, K - 1)),
                            U == "z")
     for ell in (0, 1, 2):
-        _assert_same_grads(qu_gradients(point, 1, 2, ell, U, engine=eng),
+        _assert_same_grads(qu_gradients(eng, 1, 2, ell, U),
                            _ref_qu_gradients(eng, 1, 2, ell, U), U == "z")
 
 
@@ -431,20 +430,47 @@ def test_independence_rank_nonspin_d1():
     assert rank == 3  # formula degenerates to n
 
 
-def test_fd_rank_agrees_on_small_case():
-    spec, params = make_setup(2, 2, 2)
-    coords = random_coordinates(spec, params, seed=1)
-    r1, _ = independence_rank(coords, "G", params, method="analytic")
-    r2, _ = independence_rank(coords, "G", params, method="fd")
-    assert r1 == r2 == 3
-
-
-def test_rank_gap_error_states_ratio_and_factor():
+def test_rank_gap_error_states_ratio_and_factor(monkeypatch):
     spec, params = make_setup(3, 2, 3)
     coords = random_coordinates(spec, params, seed=4)
+    monkeypatch.setattr(families, "_GAP_FACTOR", 1e6)
     with pytest.raises(IllConditioned,
                        match=r"gap at the rank cut is [0-9.]+x, below the required 1e\+06x"):
-        independence_rank(coords, "G", params, gap_factor=1e6)
+        independence_rank(coords, "G", params)
+
+
+def _pack_coords(coords: LocalCoordinates) -> np.ndarray:
+    n, d = coords.n, coords.d
+    parts = [coords.x]
+    if d > 1:
+        parts.append(coords.a[:, :d - 1].reshape(-1))
+    parts.append(coords.c.reshape(-1))
+    return np.concatenate(parts)
+
+
+def _unpack_coords(vec: np.ndarray, n: int, d: int) -> LocalCoordinates:
+    x = vec[:n]
+    pos = n
+    a = np.zeros((n, d), dtype=complex)
+    if d > 1:
+        a[:, :d - 1] = vec[pos:pos + n * (d - 1)].reshape(n, d - 1)
+        pos += n * (d - 1)
+    a[:, d - 1] = 1.0 - a[:, :d - 1].sum(axis=1)
+    c = vec[pos:pos + d * n].reshape(d, n)
+    # bypass normalization: rows already sum to one by construction
+    obj = LocalCoordinates(x=x, a=a, c=c)
+    return obj
+
+
+def _coefficient_functions(coords: LocalCoordinates, family: str, params) -> np.ndarray:
+    quad = quadruple_from_coordinates(coords, params)
+    out = []
+    n, d = coords.n, coords.d
+    for j in range(1, n + 1):
+        poly = reduced_poly(family, quad, params, j)
+        for l in range(0, min(j - 1, d) + 1):
+            out.append(poly.coeffs[l])
+    return np.array(out)
 
 
 RANK_GRID = [(m, d) for m in (1, 2, 3, 4) for d in (1, 2, 3)]
@@ -585,11 +611,11 @@ def test_center_property(U, base):
     m = spec.m
     scale = max(1.0, point.norm_scale() ** (4 * m))
     for k in (1, 2):
-        gk = power_trace_gradients(point, U, k * m, engine=eng)
+        gk = power_trace_gradients(eng, U, k * m)
         for l in (0, 1):
             for a in (1, 2):
                 for b in (1, 2):
-                    gl = qu_gradients(point, a, b, l, U, engine=eng)
+                    gl = qu_gradients(eng, a, b, l, U)
                     assert abs(eng.bracket_gradients(gk, gl)) < 1e-8 * scale
 
 
@@ -600,20 +626,20 @@ def test_cy2_involution_and_rank(U, base):
     grads = []
     for j in range(1, n + 1):
         K = j * m if U in ("x", "y", "z") else j
-        grads.append(power_trace_gradients(point, U, K, engine=eng))
-        grads.append(qu_gradients(point, 1, 1, j, U, engine=eng))
+        grads.append(power_trace_gradients(eng, U, K))
+        grads.append(qu_gradients(eng, 1, 1, j, U))
     scale = max(1.0, point.norm_scale() ** (4 * m))
     for i, g1 in enumerate(grads):
         for g2 in grads[i + 1:]:
             assert abs(eng.bracket_gradients(g1, g2)) < 1e-8 * scale
-    rank, _ = cy2_rank(point, U, engine=eng)
+    rank, _ = cy2_rank(eng, U)
     assert rank == 2 * n
 
 
 def test_qu_bracket_closes_in_algebra(base):
     # {tr W_a V_b U^(lm), tr W_c V_e U^(km)} is small on the centre pairings
     point, spec, params, eng = base
-    val = qu_generator(point, 1, 2, 1, "z", engine=eng)
+    val = qu_generator(eng, 1, 2, 1, "z")
     ws_val = eng.trace_wordsum(
         __import__("spinquiver").words.WordSum(
             ((1.0, (("w", 1), ("v", 2)) + tuple(("z", (0 - 1 - i) % spec.m)
