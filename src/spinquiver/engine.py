@@ -10,10 +10,10 @@ is formed.  A Gradient is an immutable map from each base letter to a
 read-only block of that letter's shape.  PointEngine.letter_gradients takes
 (letter, Q) pairs, Q the transposed gradient on that letter's block, returns
 a Gradient, and is the one place where the rules for z = y + x^(-1),
-inverses and unit-plus-word letters are applied.
-The total space C^(m n + 1), block v of size n for each cycle vertex and a
-final 1-dimensional block for the framing vertex, is only the output of the
-public eval_* methods and loday_matrix.
+inverses and unit-plus-word letters are applied.  The engine forms no matrix
+of the total space C^(m n + 1), one n-dimensional block per cycle vertex and
+a 1-dimensional framing block; trace_word(()) = m n + 1 is the trace of its
+identity.  The tests keep the total-space view as their dense reference.
 
 Bracket values between trace functions are computed two ways:
 
@@ -44,8 +44,7 @@ side's halves for every term are one batched matmul per group.  A Gradient
 keeps the last half it formed, per (plan, side): a family's all-pairs loop
 forms about two halves per member, and each pair costs one product of two
 flat halves and the per-term sums.  The term mass is still the sum of the
-terms' absolute values.  loday_matrix keeps its own term-by-term Leibniz
-loop, as an independent check of the word route.
+terms' absolute values.
 """
 
 from __future__ import annotations
@@ -54,8 +53,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .brackets import (_INVERSE_OF, generator_bracket, phi_word_terms,
-                       trace_bracket_symbolic)
+from .brackets import _INVERSE_OF, generator_bracket, phi_word_terms
 from .errors import SingularFactor
 from .params import ParameterSet
 from .points import RepPoint, _readonly, inverse
@@ -178,18 +176,6 @@ class PointEngine:
         self._plan_cache: dict = {}
         self._rests_cache: dict = {}
 
-    # -- blocks ---------------------------------------------------------
-
-    def block(self, v: int) -> slice:
-        if v == self.m:
-            return slice(self.m * self.n, self.m * self.n + 1)
-        return slice(v * self.n, (v + 1) * self.n)
-
-    def embed(self, mat: np.ndarray, tail: int, head: int) -> np.ndarray:
-        out = np.zeros((self.N, self.N), dtype=complex)
-        out[self.block(tail), self.block(head)] = mat
-        return out
-
     def _eye(self, v: int) -> np.ndarray:
         return np.eye(1 if v == self.m else self.n)
 
@@ -290,28 +276,6 @@ class PointEngine:
     def trace_wordsum(self, ws) -> complex:
         return complex(sum(c * self.trace_word(w) for c, w in _as_wordsum(ws)))
 
-    # -- total-space values -------------------------------------------------
-
-    def eval_letter(self, letter) -> np.ndarray:
-        tail, head = letter_tail_head(letter, self.m)
-        return self.embed(self.letter_block(letter), tail, head)
-
-    def eval_word(self, word) -> np.ndarray:
-        """Total matrix of a word; the empty word is the identity."""
-        if not word:
-            return np.eye(self.N, dtype=complex)
-        path = self._word(word)
-        if path is None:
-            return np.zeros((self.N, self.N), dtype=complex)
-        tail, head, mat = path
-        return self.embed(mat, tail, head)
-
-    def eval_wordsum(self, ws) -> np.ndarray:
-        total = np.zeros((self.N, self.N), dtype=complex)
-        for c, w in _as_wordsum(ws):
-            total += c * self.eval_word(w)
-        return total
-
     # -- bracket values: word route ---------------------------------------
 
     def _letter_rests(self, ws) -> tuple:
@@ -342,31 +306,6 @@ class PointEngine:
         return self.bracket_gradients(
             {l: Q.T for l, Q in self._letter_rests(w1)},
             {l: Q.T for l, Q in self._letter_rests(w2)})
-
-    def loday_matrix(self, w1, w2) -> np.ndarray:
-        """Total matrix of the Loday bracket {w1, w2} for word sums."""
-        out = np.zeros((self.N, self.N), dtype=complex)
-        for c1, a in _as_wordsum(w1):
-            rests = self._rests(a)
-            if rests is None:
-                continue
-            for c2, b in _as_wordsum(w2):
-                parts = self._partials(b)
-                if parts is None:
-                    continue
-                (tail, head), pre, suf = parts
-                for ai, rest in zip(a, rests):
-                    for j, bj in enumerate(b):
-                        for c, L, R in self._pair_terms(ai, bj):
-                            out += self.embed((c1 * c2 * c) * (
-                                pre[j] @ L @ rest @ R @ suf[j + 1]), tail, head)
-        return out
-
-    def bracket_trace_matrix(self, w, g) -> np.ndarray:
-        """Total matrix of the Loday bracket {w, g}, g a letter or a word."""
-        if isinstance(g, tuple) and g and isinstance(g[0], str):
-            g = (g,)
-        return self.loday_matrix(w, g)
 
     # -- bracket values: gradient route ------------------------------------
 
@@ -513,20 +452,3 @@ class PointEngine:
             add((s, s, s, gh), 0.5, E, phi @ G)
             add((s, s, s, gh), 0.5, phi, G)
         return max((float(np.max(np.abs(arr))) for arr in gap.values()), default=0.0)
-
-    def jacobiator(self, w1, w2, w3) -> complex:
-        """{tr w1, {tr w2, tr w3}} + cyclic, via one symbolic nesting level."""
-        total = 0.0 + 0.0j
-        for a, b, c in ((w1, w2, w3), (w2, w3, w1), (w3, w1, w2)):
-            inner = _nested_symbolic(self.m, b, c)
-            if len(inner):
-                total += self.trace_bracket_value(a, inner)
-        return complex(total)
-
-
-def _nested_symbolic(m, b, c) -> WordSum:
-    out = WordSum()
-    for cb, wb in _as_wordsum(b):
-        for cc, wc in _as_wordsum(c):
-            out = out + trace_bracket_symbolic(m, wb, wc).scaled(cb * cc)
-    return out

@@ -8,7 +8,7 @@ The four spectral-parameter families are symmetric functions of
 on the cycle matrices, with Theta = (1 + XY)(1 + YX)^(-1) the cycle moment
 map.  Each cycle matrix is homogeneous in the cyclic grading and is computed
 as a cyclic.CycleMatrix, one n x n block per vertex.  On the X-invertible
-locus they reduce to the spin RS families G, H, F in the quadruple
+locus they reduce to the spin RS families G and H in the quadruple
 (A, B, bigA, bigC), which is what the independence counts and the
 spectral-curve constraints are computed from.  Every member is tr M(eta)^j
 of a pencil M0 + eta M1 and is expanded in eta exactly (_pencil_powers);
@@ -56,16 +56,6 @@ class EtaPolynomial:
     """Coefficients of a polynomial in the spectral parameter, coeffs[l] ~ eta^l."""
 
     coeffs: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, eta: complex) -> complex:
-        out = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            out = out * eta + c
-        return out
 
 
 def total_matrices(point: RepPoint) -> TotalMatrices:
@@ -200,12 +190,6 @@ def _pencil_matrix(terms: list) -> np.ndarray:
     return sum(c * reduce(np.matmul, [mat for _, mat in factors]) for c, factors in terms)
 
 
-def _f_pencil(point: RepPoint):
-    """(M0, M1) of F: the degree-0 cycle matrices of the blocks X_s Z_s and Z_s X_s."""
-    X, Z = np.stack(point.X), np.stack(point.require_Z())
-    return CycleMatrix(0, X @ Z), CycleMatrix(0, Z @ X)
-
-
 def reduced_G(quad: ReducedQuadruple, params: ParameterSet, j: int,
               eta_prime: complex) -> complex:
     """tr [ A^(-1)((t^(-1) + eta') B + eta' S) B^(m-1) ]^j."""
@@ -220,17 +204,9 @@ def reduced_H(quad: ReducedQuadruple, params: ParameterSet, j: int,
     return complex(np.trace(np.linalg.matrix_power(M0 + eta * M1, j)))
 
 
-def reduced_F(point: RepPoint, j: int, eta: complex) -> complex:
-    """Blockwise sum_s tr (X_s Z_s + eta Z_s X_s)^j."""
-    M0, M1 = _f_pencil(point)
-    return (M0 + eta * M1).power(j).trace()
-
-
-def reduced_poly(kind: str, quad_or_point, params: ParameterSet, j: int) -> EtaPolynomial:
-    """Exact eta-expansion of a reduced family member: G, H at a quadruple, F at a point."""
-    if kind == "F":
-        return _pencil_poly(*_f_pencil(quad_or_point), j)
-    return _pencil_poly(*map(_pencil_matrix, _reduced_pencil(kind, quad_or_point, params)), j)
+def reduced_poly(kind: str, quad: ReducedQuadruple, params: ParameterSet, j: int) -> EtaPolynomial:
+    """Exact eta-expansion of a reduced family member, G or H, at a quadruple."""
+    return _pencil_poly(*map(_pencil_matrix, _reduced_pencil(kind, quad, params)), j)
 
 
 def big_K_constant(params: ParameterSet, eta: complex) -> complex:

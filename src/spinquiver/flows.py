@@ -398,14 +398,6 @@ class _Plan:
                                      work[args[0]], work[args[1]]))
         return calls
 
-    def evaluate(self, X: np.ndarray, M: np.ndarray, eta) -> np.ndarray:
-        """The field at one state, dX and dM in one (2, m, n, n) stack, after its domain test."""
-        ws = _Workspace(self, eta, stages=1)
-        ws.work[0, 0], ws.work[0, 1] = X, M
-        ws.run(0)
-        ws.test()
-        return ws.slopes[0]
-
 
 class _Workspace:
     """One oracle call's workspace: a stack of the plan's slots per RK4 stage.

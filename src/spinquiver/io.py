@@ -1,7 +1,9 @@
 """JSON serialization of points, coordinates, and reports.
 
 Complex numbers are always two-element arrays [re, im]; matrices are
-row-major nested lists.  File writes are atomic (write-temp-rename).
+row-major nested lists.  Readers check every key and its nesting before
+building anything, and their ValueError names the key at fault.  File writes
+are atomic (write-temp-rename).
 """
 
 from __future__ import annotations
@@ -21,16 +23,29 @@ def encode_complex(z) -> list:
     return [z.real, z.imag]
 
 
-def decode_complex(pair) -> complex:
-    return complex(pair[0], pair[1])
-
-
 def encode_matrix(mat) -> list:
     return [[encode_complex(z) for z in row] for row in np.atleast_2d(np.asarray(mat))]
 
 
-def decode_matrix(rows) -> np.ndarray:
-    return np.array([[decode_complex(z) for z in row] for row in rows], dtype=complex)
+_NESTING = {1: "a list", 2: "a matrix (a list of rows)", 3: "a list of matrices"}
+
+
+def _key(data, key: str, where: str = ""):
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"missing key {key!r}{where}")
+    return data[key]
+
+
+def _pairs(data, key: str, depth: int) -> np.ndarray:
+    """data[key], [re, im] pairs nested depth lists deep, as a complex array with depth axes."""
+    value = _key(data, key)
+    try:
+        pairs = np.array(value, dtype=float)
+    except (TypeError, OverflowError, ValueError):
+        pairs = np.zeros(0)
+    if pairs.ndim != depth + 1 or pairs.shape[-1] != 2:
+        raise ValueError(f"{key!r} must be {_NESTING[depth]} of [re, im] pairs")
+    return pairs.view(complex)[..., 0]
 
 
 def point_to_dict(point: RepPoint, params: ParameterSet) -> dict:
@@ -45,18 +60,19 @@ def point_to_dict(point: RepPoint, params: ParameterSet) -> dict:
 
 
 def point_from_dict(data: dict):
-    spec = ModelSpec(**{k: int(v) for k, v in data["spec"].items()})
-    if len(data["q"]) != spec.m:
-        raise ValueError(f"need {spec.m} deformation parameters q, got {len(data['q'])}")
-    params = derive_params([decode_complex(v) for v in data["q"]], spec.n)
-    point = RepPoint.make(
-        spec,
-        [decode_matrix(mat) for mat in data["X"]],
-        [decode_matrix(mat) for mat in data["Y"]],
-        [decode_matrix(mat) for mat in data["V"]],
-        [decode_matrix(mat) for mat in data["W"]],
-    )
-    return point, params
+    spec = ModelSpec(*(_key(_key(data, "spec"), k, " in 'spec'") for k in ("m", "d", "n")))
+    m, d, n = spec.m, spec.d, spec.n
+    q = _pairs(data, "q", 1)
+    if len(q) != m:
+        raise ValueError(f"'q' needs {m} deformation parameters, got {len(q)}")
+    blocks = []
+    for key, shape in (("X", (m, n, n)), ("Y", (m, n, n)), ("V", (d, 1, n)), ("W", (d, n, 1))):
+        blocks.append(_pairs(data, key, 3))
+        if blocks[-1].shape != shape:
+            raise ValueError(f"{key!r} has shape {blocks[-1].shape}; "
+                             f"(m, d, n) = ({m}, {d}, {n}) needs {shape}")
+    params = derive_params([complex(v) for v in q], n)
+    return RepPoint.make(spec, *blocks), params
 
 
 def coords_to_dict(coords: LocalCoordinates) -> dict:
@@ -68,11 +84,7 @@ def coords_to_dict(coords: LocalCoordinates) -> dict:
 
 
 def coords_from_dict(data: dict) -> LocalCoordinates:
-    return LocalCoordinates.make(
-        [decode_complex(v) for v in data["x"]],
-        decode_matrix(data["a"]),
-        decode_matrix(data["c"]),
-    )
+    return LocalCoordinates.make(_pairs(data, "x", 1), _pairs(data, "a", 2), _pairs(data, "c", 2))
 
 
 def write_json(path: str, payload: dict) -> None:

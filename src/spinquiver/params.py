@@ -135,8 +135,3 @@ def check_regularity(params: ParameterSet, k_max: int = DEFAULT_K_MAX,
     near_unit = abs(abs(t) - 1.0) < tol ** (1.0 / k_max)
     return RegularityResult(ok=not violations, violations=tuple(violations),
                             unverifiable_beyond_k_max=near_unit)
-
-
-def expected_dimension(spec: ModelSpec) -> int:
-    """Dimension 2*n*d of the smooth quiver variety; independent of m."""
-    return 2 * spec.n * spec.d

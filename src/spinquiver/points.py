@@ -470,17 +470,3 @@ def quadruple_from_coordinates(coords: LocalCoordinates, params: ParameterSet
     B = lax_matrix(coords, params.t)
     return ReducedQuadruple(A=_readonly(A), B=_readonly(B),
                             bigA=_readonly(coords.a), bigC=_readonly(coords.c))
-
-
-def diagonalize_quadruple(quad: ReducedQuadruple) -> ReducedQuadruple:
-    """Conjugate so A is diagonal with eigenvalues sorted lexicographically by (Re, Im)."""
-    vals, vecs = np.linalg.eig(quad.A)
-    order = np.lexsort((vals.imag, vals.real))
-    vals, vecs = vals[order], vecs[:, order]
-    vinv = inverse(vecs, SingularFactor, "the eigenvectors of A are not independent")
-    return ReducedQuadruple(
-        A=_readonly(np.diag(vals)),
-        B=_readonly(vinv @ quad.B @ vecs),
-        bigA=_readonly(vinv @ quad.bigA),
-        bigC=_readonly(quad.bigC @ vecs),
-    )

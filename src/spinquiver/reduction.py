@@ -9,7 +9,6 @@ inverted parameters and reverses the sign of brackets of invariant words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .points import (RepPoint, ReducedQuadruple, SpinData, _readonly, gauge_act,
                      reduced_quadruple)
 
 _ROWSUM_TOL = 1e-12
-_LOCUS_TOL = 1e-10      # relative tolerance of the free-action and normal-form tests
+_LOCUS_TOL = 1e-10      # relative tolerance of the normal-form test
 
 
 @dataclass(frozen=True)
@@ -38,16 +37,6 @@ class HElement:
         if abs(np.linalg.det(h)) <= 1e-12:
             raise SingularH("reduction-group element is singular")
         return HElement(h=_readonly(h))
-
-    @property
-    def d(self) -> int:
-        return self.h.shape[0]
-
-    def inv(self) -> "HElement":
-        return HElement.make(inverse(self.h, SingularH, "reduction-group element is singular"))
-
-    def __matmul__(self, other: "HElement") -> "HElement":
-        return HElement.make(self.h @ other.h)
 
 
 def random_h(d: int, seed: int) -> HElement:
@@ -74,25 +63,6 @@ def h_act(h: HElement, data):
                                 bigA=_readonly(data.bigA @ h.h),
                                 bigC=_readonly(hinv @ data.bigC))
     raise TypeError("h_act expects SpinData or ReducedQuadruple")
-
-
-def minors_nonzero(Amat: np.ndarray) -> bool:
-    """All d x d minors of the n x d matrix are nonzero (proper-action locus)."""
-    Amat = np.asarray(Amat)
-    n, d = Amat.shape
-    if d > n:
-        raise ValueError("need d <= n")
-    scale = max(1.0, np.linalg.norm(Amat)) ** d
-    for rows in combinations(range(n), d):
-        if abs(np.linalg.det(Amat[list(rows), :])) <= _LOCUS_TOL * scale:
-            return False
-    return True
-
-
-def full_rank_d(Amat: np.ndarray) -> bool:
-    """Weaker free-action test: the n x d matrix has rank d."""
-    svals = np.linalg.svd(np.asarray(Amat), compute_uv=False)
-    return bool(svals[-1] > _LOCUS_TOL * max(1.0, svals[0]))
 
 
 # -- invariant words -----------------------------------------------------------
@@ -167,20 +137,6 @@ def lambda_gauge(point: RepPoint, params: ParameterSet, branch=None) -> RepPoint
         raise BranchInvalid("chosen roots do not reproduce the eigenvalues")
     g = [np.diag(lam ** (m - s)) for s in range(m)]
     return gauge_act(g, point)
-
-
-def lambda_gauge_z_blocks(lam: np.ndarray, f: np.ndarray,
-                          params: ParameterSet) -> list:
-    """Closed-form Z_s blocks in the lambda gauge: entries
-    t_s t f_ij lambda_i^(m-s-1) lambda_j^s / (lambda_i^m - t lambda_j^m)."""
-    m = params.m
-    t = params.t
-    denom = lam[:, None] ** m - t * lam[None, :] ** m
-    out = []
-    for s in range(m):
-        numer = params.t_at(s) * t * f * np.outer(lam ** (m - s - 1), lam ** s)
-        out.append(numer / denom)
-    return out
 
 
 def trZ2_closed_form(lam: np.ndarray, f: np.ndarray, gamma0: complex,

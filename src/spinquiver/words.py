@@ -18,8 +18,6 @@ of the matrices representing its letters.
 
 from __future__ import annotations
 
-from .errors import WordTooLong
-
 MAX_WORD_LEN = 64
 
 _CYCLE_KINDS = {"x", "y", "z", "xi", "yi", "zi"}
@@ -64,11 +62,6 @@ def word_tail_head(word, m: int):
     return tail, head
 
 
-def is_closed(word, m: int) -> bool:
-    th = word_tail_head(word, m)
-    return th is not None and th[0] == th[1]
-
-
 _INVERSE_KIND = {"x": "xi", "xi": "x", "y": "yi", "yi": "y", "z": "zi", "zi": "z"}
 
 
@@ -101,15 +94,6 @@ def simplify_word(word, m: int):
     return tuple(kept) if kept else (("e", ends[0]),)
 
 
-def concat(*words):
-    out = ()
-    for w in words:
-        out = out + tuple(w)
-    if len(out) > MAX_WORD_LEN:
-        raise WordTooLong(f"word of length {len(out)} exceeds cap {MAX_WORD_LEN}")
-    return out
-
-
 def canonical_rotation(word):
     """Lexicographically minimal rotation of a closed word."""
     n = len(word)
@@ -128,7 +112,7 @@ class WordSum:
         acc = {}
         for coeff, word in terms:
             word = tuple(word)
-            acc[word] = acc.get(word, 0.0) + coeff
+            acc[word] = acc.get(word, 0) + coeff
         self.terms = tuple((c, w) for w, c in acc.items() if c != 0)
 
     def __iter__(self):
@@ -144,11 +128,8 @@ class WordSum:
             if w is None:
                 continue
             w = canonical_rotation(w)
-            out[w] = out.get(w, 0.0) + coeff
+            out[w] = out.get(w, 0) + coeff
         return WordSum(tuple((c, w) for w, c in out.items() if c != 0))
-
-    def scaled(self, factor) -> "WordSum":
-        return WordSum(tuple((factor * c, w) for c, w in self.terms))
 
     def __add__(self, other: "WordSum") -> "WordSum":
         return WordSum(self.terms + other.terms)
@@ -160,15 +141,6 @@ class WordSum:
 # -- serialization -----------------------------------------------------------
 
 _TOKEN_KINDS = ("xi", "yi", "zi", "x", "y", "z", "v", "w", "e")
-
-
-def letter_to_token(letter) -> str:
-    kind = letter[0]
-    if kind == "uinv":
-        raise ValueError("composite inverse letters have no token form")
-    if kind == "e" and not isinstance(letter[1], int):
-        raise ValueError(f"bad idempotent index {letter[1]!r}")
-    return f"{kind}{letter[1]}"
 
 
 def token_to_letter(token: str, m: int):
@@ -189,15 +161,6 @@ def token_to_letter(token: str, m: int):
 def parse_word(text: str, m: int):
     """Parse a dot-separated token string like "x0.y1.v1.w2" into a word."""
     return tuple(token_to_letter(tok, m) for tok in text.split(".") if tok)
-
-
-def word_to_text(word) -> str:
-    return ".".join(letter_to_token(l) for l in word)
-
-
-def x_power_word(k: int, m: int, start: int = 0):
-    """The closed word x^k starting (and, when m | k, ending) at `start`."""
-    return tuple(("x", (start + i) % m) for i in range(k))
 
 
 def u_power_word(kind: str, k: int, m: int, start: int = 0):

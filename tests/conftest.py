@@ -116,6 +116,43 @@ def reduced_quadruple_by_gauge(point, params, check_tol=1e-9):
                             bigA=_readonly(bigA), bigC=_readonly(bigC))
 
 
+# -- the total space C^(m n + 1): block v of size n per cycle vertex, then 1 ------
+
+def total_slice(eng, v):
+    """The rows of vertex v in the total space."""
+    return slice(v * eng.n, v * eng.n + (1 if v == eng.m else eng.n))
+
+
+def total_block(eng, mat, tail, head):
+    """The (m n + 1) x (m n + 1) matrix holding mat on the (tail, head) block."""
+    out = np.zeros((eng.N, eng.N), dtype=complex)
+    out[total_slice(eng, tail), total_slice(eng, head)] = mat
+    return out
+
+
+def total_word(eng, word):
+    """The engine's block product of a word, placed on its (tail, head) block.
+
+    The empty word is the identity, and a word whose letters do not compose
+    is zero.
+    """
+    if not word:
+        return np.eye(eng.N, dtype=complex)
+    path = eng._word(word)
+    if path is None:
+        return np.zeros((eng.N, eng.N), dtype=complex)
+    tail, head, mat = path
+    return total_block(eng, mat, tail, head)
+
+
+def total_wordsum(eng, ws):
+    """The sum of a word sum's total matrices, term by term."""
+    total = np.zeros((eng.N, eng.N), dtype=complex)
+    for c, w in _as_wordsum(ws):
+        total += c * total_word(eng, w)
+    return total
+
+
 # -- reference for PointEngine.bracket_gradients: the per-term loop -------------
 
 def bracket_gradients_loop(eng, gradF, gradG):
@@ -162,15 +199,19 @@ def trace_bracket_words_loop(eng, w1, w2):
 def oracle_field(hamiltonian, X, M, k, eta):
     """(dX, dM) of one field on CycleMatrix states, evaluated once through its plan.
 
-    _Plan.evaluate runs every step of the plan on a one-stage workspace,
-    then passes the blocks the plan names for the domain test through
+    Runs every step of the plan on a one-stage workspace, then passes the
+    blocks the plan names for the domain test through
     flows._require_invertible, as the oracle's per-step test takes them, so
     a field raises LinAlgError wherever an inverse in the graded references
     would.
     """
     m, n = X.blocks.shape[:2]
     plan = flows._plan(hamiltonian, k, m, n, eta == 0)
-    out = plan.evaluate(X.blocks, M.blocks, eta)
+    ws = flows._Workspace(plan, eta, stages=1)
+    ws.work[0, 0], ws.work[0, 1] = X.blocks, M.blocks
+    ws.run(0)
+    ws.test()
+    out = ws.slopes[0]
     return CycleMatrix(plan.degrees[0], out[0]), CycleMatrix(plan.degrees[1], out[1])
 
 

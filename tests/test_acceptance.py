@@ -24,7 +24,7 @@ from spinquiver.reduction import iota_word
 from spinquiver.tadpole import chain_bracket, closed_form_fg_bracket, g_value
 from spinquiver.words import WordSum, cprime_word_terms, u_power_word
 
-from conftest import Q_SETS, make_point, make_setup, tame_point
+from conftest import Q_SETS, make_point, make_setup, tame_point, total_word
 
 
 def emit(criterion, description, value, tol):
@@ -71,7 +71,7 @@ def test_criterion_02_quasi_hamiltonian_property():
 def _tensor(eng, terms):
     T = np.zeros((eng.N,) * 4, dtype=complex)
     for c, L, R in terms:
-        T += c * np.multiply.outer(eng.eval_word(L), eng.eval_word(R))
+        T += c * np.multiply.outer(total_word(eng, L), total_word(eng, R))
     return T
 
 
@@ -93,9 +93,9 @@ def test_criterion_03_spin_bracket_identities():
             rhs = np.zeros_like(lhs)
             for c, w in cw:
                 rhs += 0.5 * c * np.multiply.outer(
-                    eng.eval_word(w + (("x", m - 1),)), eng.eval_letter(("e", m - 1)))
+                    total_word(eng, w + (("x", m - 1),)), total_word(eng, (("e", m - 1),)))
                 rhs += 0.5 * c * np.multiply.outer(
-                    eng.eval_word(w), eng.eval_letter(("x", (m - 2) % m)))
+                    total_word(eng, w), total_word(eng, (("x", (m - 2) % m),)))
             worst_tensor = max(worst_tensor, np.abs(lhs - rhs).max() / scale)
             for beta in range(1, d + 1):
                 lhs = np.zeros_like(rhs)
@@ -103,26 +103,26 @@ def test_criterion_03_spin_bracket_identities():
                     lhs += c * _tensor(eng, double_bracket(m, (("w", alpha),), w))
                 o = ordering_sign(alpha, beta)
                 delta = 1.0 if alpha == beta else 0.0
-                Einf = eng.eval_letter(("e", m))
+                Einf = total_word(eng, (("e", m),))
 
                 def ac(a_, b_):
-                    return sum(c * eng.eval_word((("w", a_),) + w)
+                    return sum(c * total_word(eng, (("w", a_),) + w)
                                for c, w in cprime_word_terms(b_, m))
                 rhs2 = 0.5 * (o - delta) * np.multiply.outer(Einf, ac(alpha, beta))
-                rhs2 = rhs2 - delta * np.multiply.outer(Einf, eng.eval_letter(("z", m - 1)))
+                rhs2 = rhs2 - delta * np.multiply.outer(Einf, total_word(eng, (("z", m - 1),)))
                 for lam in range(1, beta):
                     rhs2 = rhs2 - delta * np.multiply.outer(Einf, ac(lam, lam))
-                ca = sum(c * eng.eval_word(w + (("w", alpha),))
+                ca = sum(c * total_word(eng, w + (("w", alpha),))
                          for c, w in cprime_word_terms(beta, m))
-                rhs2 = rhs2 - 0.5 * np.multiply.outer(ca, eng.eval_letter(("e", 0)))
+                rhs2 = rhs2 - 0.5 * np.multiply.outer(ca, total_word(eng, (("e", 0),)))
                 worst_tensor = max(worst_tensor, np.abs(lhs - rhs2).max() / scale)
                 # c'-c' identity
                 lhs = np.zeros_like(rhs)
                 for c1, wa in cprime_word_terms(alpha, m):
                     for c2, wb in cprime_word_terms(beta, m):
                         lhs += c1 * c2 * _tensor(eng, double_bracket(m, wa, wb))
-                Ca = sum(c * eng.eval_word(w) for c, w in cprime_word_terms(alpha, m))
-                Cb = sum(c * eng.eval_word(w) for c, w in cprime_word_terms(beta, m))
+                Ca = sum(c * total_word(eng, w) for c, w in cprime_word_terms(alpha, m))
+                Cb = sum(c * total_word(eng, w) for c, w in cprime_word_terms(beta, m))
                 rhs3 = 0.5 * o * (np.multiply.outer(Cb, Ca) - np.multiply.outer(Ca, Cb))
                 worst_tensor = max(worst_tensor, np.abs(lhs - rhs3).max() / scale)
         # trace identity {tr x^k, tr a'c'x^l} = k tr(a'c'x^(k+l))

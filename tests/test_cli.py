@@ -327,6 +327,8 @@ def _malformed_input(case):
         "point-q-longer-than-m": (["verify"], dict(point, q=[[0.7, 0.2], [1.1, 0.0]])),
         "point-q-not-a-pair": (["verify"], dict(point, q=["a"])),
         "point-spec-list": (["verify"], dict(point, spec=[1, 1, 2])),
+        "point-without-X": (["verify"], {k: v for k, v in point.items() if k != "X"}),
+        "point-n-over-blocks": (["verify"], dict(point, spec={"m": 1, "d": 1, "n": 3})),
     }[case]
 
 
@@ -342,6 +344,20 @@ def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert re.fullmatch(r"error: cannot read (point|coordinates) file \S+: .+\n", err)
+
+
+@pytest.mark.parametrize("case, key", [
+    ("point-spec-without-n", "n"), ("point-spec-list", "m"), ("point-without-X", "X"),
+    ("point-X-matrix", "X"), ("point-n-over-blocks", "X"), ("point-q-longer-than-m", "q"),
+    ("point-q-not-a-pair", "q"), ("coords-a-vector", "a"), ("coords-x-pair", "x")])
+def test_malformed_input_file_names_its_key(tmp_path, capsys, case, key):
+    argv, contents = _malformed_input(case)
+    path = str(tmp_path / "in.json")
+    sqio.write_json(path, contents)
+    assert run(argv + [path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert repr(key) in err
 
 
 def test_coords_round_trip_io(tmp_path):
@@ -470,7 +486,7 @@ def test_commute_magnitudes_match_the_per_term_loop(tmp_path, spec, seed, family
                 "--out", out]) == 0
     point, params = sqio.point_from_dict(sqio.read_json(point_file))
     data = sqio.read_json(out)
-    members = [(j, sqio.decode_complex(eta)) for j, eta in data["members"]]
+    members = [(j, complex(*eta)) for j, eta in data["members"]]
     mags = np.array(data["bracket_magnitudes"])
     eng = PointEngine(point, params)
     grads = [family_gradients(eng, family, j, eta) for j, eta in members]

@@ -10,12 +10,13 @@ from spinquiver import (Gradient, PointEngine, cycle_power_sum, family_gradients
 from spinquiver.brackets import (double_bracket, generator_bracket, ordering_sign,
                                  phi_localized_terms, phi_word_terms,
                                  trace_bracket_symbolic)
-from spinquiver.engine import _BracketPlan
+from spinquiver.engine import _BracketPlan, _as_wordsum
 from spinquiver.errors import UnknownPair
-from spinquiver.words import (WordSum, cprime_word_terms, is_closed, letter_tail_head,
-                              u_power_word, word_tail_head, x_power_word)
+from spinquiver.words import (WordSum, cprime_word_terms, letter_tail_head, u_power_word,
+                              word_tail_head)
 
-from conftest import bracket_gradients_loop, make_point, trace_bracket_words_loop
+from conftest import (bracket_gradients_loop, make_point, total_slice, total_word,
+                      total_wordsum, trace_bracket_words_loop)
 
 
 def all_letters(m, d, alphabet="y"):
@@ -27,7 +28,7 @@ def all_letters(m, d, alphabet="y"):
 def tensor_of_terms(eng, terms):
     T = np.zeros((eng.N,) * 4, dtype=complex)
     for c, L, R in terms:
-        T += c * np.multiply.outer(eng.eval_word(L), eng.eval_word(R))
+        T += c * np.multiply.outer(total_word(eng, L), total_word(eng, R))
     return T
 
 
@@ -72,7 +73,7 @@ def test_xx_trace_bracket_symbolically_zero():
             for s1 in range(m):
                 for s2 in range(m):
                     out = out + trace_bracket_symbolic(
-                        m, x_power_word(k, m, s1), x_power_word(l, m, s2))
+                        m, u_power_word("x", k, m, s1), u_power_word("x", l, m, s2))
             assert out.canonicalized(m).terms == ()
 
 
@@ -82,7 +83,7 @@ def test_symbolic_x_spin_bracket_single_term():
     word2 = (("w", 1),) + cprime_word_terms(1, m)[0][1] + u_power_word("x", l, m, start=m - 1)
     total = WordSum()
     for s in range(m):
-        total = total + trace_bracket_symbolic(m, x_power_word(k, m, s), word2)
+        total = total + trace_bracket_symbolic(m, u_power_word("x", k, m, s), word2)
     total = total.canonicalized(m)
     assert len(total) == 1
     coeff, word = total.terms[0]
@@ -130,7 +131,7 @@ def dense_word(eng, word):
     """Product of the letters' total matrices, with N x N identities at the ends."""
     out = np.eye(eng.N, dtype=complex)
     for letter in word:
-        out = out @ eng.eval_letter(letter)
+        out = out @ total_word(eng, (letter,))
     return out
 
 
@@ -144,6 +145,20 @@ def dense_loday_terms(eng, w1, w2):
                 terms.append(c * (dense_word(eng, w2[:j]) @ dense_word(eng, left) @ mid1
                                   @ dense_word(eng, right) @ dense_word(eng, w2[j + 1:])))
     return terms
+
+
+def dense_loday(eng, ws, word):
+    """The total matrix of the Loday bracket {ws, word}: the sum of dense_loday_terms."""
+    out = np.zeros((eng.N, eng.N), dtype=complex)
+    for c, a in _as_wordsum(ws):
+        for term in dense_loday_terms(eng, a, word):
+            out += c * term
+    return out
+
+
+def is_closed(word, m):
+    th = word_tail_head(word, m)
+    return th is not None and th[0] == th[1]
 
 
 def random_words(rng, m, d, u):
@@ -179,22 +194,16 @@ def test_block_engine_matches_dense_reference(m, d, n):
         words = random_words(rng, m, d, u)
         for w in words:
             ref = dense_word(eng, w)
-            assert np.linalg.norm(eng.eval_word(w) - ref) <= rtol * np.linalg.norm(ref)
+            assert np.linalg.norm(total_word(eng, w) - ref) <= rtol * np.linalg.norm(ref)
             assert abs(eng.trace_word(w) - np.trace(ref)) <= rtol * np.linalg.norm(ref)
         for w1 in words:
             for w2 in words:
                 terms = dense_loday_terms(eng, w1, w2)
-                ref = sum(terms, np.zeros((eng.N, eng.N), dtype=complex))
-                mass = sum(np.linalg.norm(t) for t in terms)
-                got = eng.loday_matrix(w1, w2)
-                assert np.linalg.norm(got - ref) <= rtol * mass
                 value = eng.trace_bracket_value(w1, w2)
                 ref_value = sum(np.trace(t) for t in terms)
                 assert abs(value - ref_value) <= rtol * sum(abs(np.trace(t)) for t in terms)
                 if not (is_closed(w1, m) and is_closed(w2, m)):
                     assert value == 0 and ref_value == 0
-                if not is_closed(w1, m):
-                    assert not np.any(got) and not np.any(ref)
 
 
 @pytest.mark.parametrize("m,d,n", [(1, 2, 2), (2, 2, 2), (3, 2, 2)])
@@ -214,7 +223,7 @@ def test_symbolic_matches_numeric_random_words(rng):
     point, spec, params = make_point(2, 2, 2, seed=3)
     eng = PointEngine(point, params)
     m = spec.m
-    pool = [x_power_word(2, m, 0), x_power_word(4, m, 1),
+    pool = [u_power_word("x", 2, m, 0), u_power_word("x", 4, m, 1),
             u_power_word("z", 2, m, 0), u_power_word("z", 4, m, 1),
             (("w", 1), ("v", 2), ("e", 0)),
             (("w", 2), ("v", 2)),
@@ -289,7 +298,7 @@ def test_word_route_matches_loop_on_word_sums(m, d, n, seed):
     # word and of its square, so that letters repeat within and across words
     point, spec, params = make_point(m, d, n, seed)
     eng = PointEngine(point, params)
-    word = x_power_word(m, m, 0)
+    word = u_power_word("x", m, m, 0)
     sums = [cycle_power_sum("x", m, m), cycle_power_sum("x", 2 * m, m),
             cycle_power_sum("z", m, m), spin_trace_word(1, d, m + 1, m),
             spin_trace_word(d, 1, 2 * m + 1, m),
@@ -305,7 +314,7 @@ def test_word_route_shares_plans_by_letter_sequence():
     m = spec.m
     plans = len(eng._plan_cache)
     for k in (m, 2 * m):
-        _, mass = assert_word_route_matches_loop(eng, x_power_word(k, m, 0),
+        _, mass = assert_word_route_matches_loop(eng, u_power_word("x", k, m, 0),
                                                  u_power_word("z", k, m, 0))
         assert mass > 0.0
     assert len(eng._plan_cache) == plans + 1
@@ -514,9 +523,9 @@ def test_leibniz_on_matrices():
     m = spec.m
     w = WordSum(tuple((1.0, u_power_word("z", 2 * m, m, s)) for s in range(m)))
     for g1, g2 in ((("x", 0), ("z", 0)), (("x", 0), ("x", 1)), (("w", 1), ("v", 1))):
-        lhs = eng.loday_matrix(w, (g1, g2))
-        rhs = (eng.bracket_trace_matrix(w, g1) @ eng.eval_letter(g2)
-               + eng.eval_letter(g1) @ eng.bracket_trace_matrix(w, g2))
+        lhs = dense_loday(eng, w, (g1, g2))
+        rhs = (dense_loday(eng, w, (g1,)) @ total_word(eng, (g2,))
+               + total_word(eng, (g1,)) @ dense_loday(eng, w, (g2,)))
         assert np.linalg.norm(lhs - rhs) < 1e-10 * max(1.0, np.linalg.norm(lhs))
 
 
@@ -527,20 +536,20 @@ def test_bracket_trace_matrix_against_flow_lemma():
     m, n = spec.m, spec.n
     K = 2 * m
     w = WordSum(tuple((1.0, u_power_word("z", K, m, s)) for s in range(m)))
-    Zt = sum(eng.eval_letter(("z", s)) for s in range(m))
-    Xt = sum(eng.eval_letter(("x", s)) for s in range(m))
+    Zt = sum(total_word(eng, (("z", s),)) for s in range(m))
+    Xt = sum(total_word(eng, (("x", s),)) for s in range(m))
     expected_total = -K * (Xt @ np.linalg.matrix_power(Zt, K))
     for s in range(m):
-        got = eng.bracket_trace_matrix(w, ("x", s))
-        sp = (s + 1) % m
+        got = dense_loday(eng, w, (("x", s),))
+        rows, cols = total_slice(eng, s), total_slice(eng, (s + 1) % m)
         mask = np.zeros((eng.N, eng.N), dtype=complex)
-        mask[eng.block(s), eng.block(sp)] = expected_total[eng.block(s), eng.block(sp)]
+        mask[rows, cols] = expected_total[rows, cols]
         assert np.linalg.norm(got - mask) < 1e-9 * max(1.0, np.linalg.norm(mask))
     # brackets with the framing letters vanish
     for a in (1, 2):
-        assert np.linalg.norm(eng.bracket_trace_matrix(w, ("v", a))) < 1e-12
-        assert np.linalg.norm(eng.bracket_trace_matrix(w, ("w", a))) < 1e-12
-    assert np.linalg.norm(eng.bracket_trace_matrix(w, ("e", 0))) == 0
+        assert np.linalg.norm(dense_loday(eng, w, (("v", a),))) < 1e-12
+        assert np.linalg.norm(dense_loday(eng, w, (("w", a),))) < 1e-12
+    assert np.linalg.norm(dense_loday(eng, w, (("e", 0),))) == 0
 
 
 @pytest.mark.parametrize("m,d,n", [(1, 1, 1), (1, 2, 2), (2, 2, 2), (3, 2, 2), (2, 3, 2)])
@@ -583,9 +592,9 @@ def test_cyspin1_identities(m):
                 lhs += c * tensor_of_terms(eng, double_bracket(m, (("x", s),), w))
         for c, w in cw:
             rhs += 0.5 * c * np.multiply.outer(
-                eng.eval_word(w + (("x", m - 1),)), eng.eval_letter(("e", m - 1)))
+                total_word(eng, w + (("x", m - 1),)), total_word(eng, (("e", m - 1),)))
             rhs += 0.5 * c * np.multiply.outer(
-                eng.eval_word(w), eng.eval_letter(("x", (m - 2) % m)))
+                total_word(eng, w), total_word(eng, (("x", (m - 2) % m),)))
         assert np.abs(lhs - rhs).max() < 1e-9 * scale
         lhs = np.zeros_like(rhs)
         rhs = np.zeros_like(rhs)
@@ -594,9 +603,9 @@ def test_cyspin1_identities(m):
                 lhs += c * tensor_of_terms(eng, double_bracket(m, (("z", s),), w))
         for c, w in cw:
             rhs -= 0.5 * c * np.multiply.outer(
-                eng.eval_word(w + (("z", (m - 2) % m),)), eng.eval_letter(("e", m - 1)))
+                total_word(eng, w + (("z", (m - 2) % m),)), total_word(eng, (("e", m - 1),)))
             rhs += 0.5 * c * np.multiply.outer(
-                eng.eval_word(w), eng.eval_letter(("z", m - 1)))
+                total_word(eng, w), total_word(eng, (("z", m - 1),)))
         assert np.abs(lhs - rhs).max() < 1e-9 * scale
 
 
@@ -612,19 +621,19 @@ def test_cyspin2_identity(m):
                 lhs += c * tensor_of_terms(eng, double_bracket(m, (("w", alpha),), w))
             o = ordering_sign(alpha, beta)
             delta = 1.0 if alpha == beta else 0.0
-            Einf = eng.eval_letter(("e", m))
+            Einf = total_word(eng, (("e", m),))
             def ac(a_, b_):
-                return sum(c * eng.eval_word((("w", a_),) + w)
+                return sum(c * total_word(eng, (("w", a_),) + w)
                            for c, w in cprime_word_terms(b_, m))
             rhs = 0.5 * (o - delta) * np.multiply.outer(Einf, ac(alpha, beta))
-            rhs = rhs - delta * np.multiply.outer(Einf, eng.eval_letter(("z", m - 1)))
+            rhs = rhs - delta * np.multiply.outer(Einf, total_word(eng, (("z", m - 1),)))
             for lam in range(1, beta):
                 rhs = rhs - delta * np.multiply.outer(Einf, ac(lam, lam))
             # the c' a' term survives only in the Jordan case m = 1; the word
             # evaluation vanishes automatically for m >= 2
-            ca = sum(c * eng.eval_word(w + (("w", alpha),))
+            ca = sum(c * total_word(eng, w + (("w", alpha),))
                      for c, w in cprime_word_terms(beta, m))
-            rhs = rhs - 0.5 * np.multiply.outer(ca, eng.eval_letter(("e", 0)))
+            rhs = rhs - 0.5 * np.multiply.outer(ca, total_word(eng, (("e", 0),)))
             assert np.abs(lhs - rhs).max() < 1e-9 * scale
 
 
@@ -639,8 +648,8 @@ def test_cyspin3_identity(m):
             for c1, wa in cprime_word_terms(alpha, m):
                 for c2, wb in cprime_word_terms(beta, m):
                     lhs += c1 * c2 * tensor_of_terms(eng, double_bracket(m, wa, wb))
-            Ca = sum(c * eng.eval_word(w) for c, w in cprime_word_terms(alpha, m))
-            Cb = sum(c * eng.eval_word(w) for c, w in cprime_word_terms(beta, m))
+            Ca = sum(c * total_word(eng, w) for c, w in cprime_word_terms(alpha, m))
+            Cb = sum(c * total_word(eng, w) for c, w in cprime_word_terms(beta, m))
             o = ordering_sign(alpha, beta)
             rhs = 0.5 * o * (np.multiply.outer(Cb, Ca) - np.multiply.outer(Ca, Cb))
             assert np.abs(lhs - rhs).max() < 1e-9 * scale
@@ -774,11 +783,23 @@ def test_moment_words_are_casimirs():
     for s in list(range(m)) + [m]:
         phi = WordSum(tuple(phi_localized_terms(m, spec.d, s)))
         # the localized words evaluate to the same moment component
-        ref = eng.eval_wordsum(eng.moment_word_sum(s))
-        assert np.linalg.norm(eng.eval_wordsum(phi) - ref) < 1e-10 * scale
+        ref = total_wordsum(eng, eng.moment_word_sum(s))
+        assert np.linalg.norm(total_wordsum(eng, phi) - ref) < 1e-10 * scale
         for w2 in observables:
             val = eng.trace_bracket_value(w2, phi)
             assert abs(val) < 1e-8 * scale
+
+
+def jacobiator(eng, w1, w2, w3):
+    """{tr w1, {tr w2, tr w3}} + cyclic, via one symbolic nesting level."""
+    total = 0.0 + 0.0j
+    for a, b, c in ((w1, w2, w3), (w2, w3, w1), (w3, w1, w2)):
+        inner = WordSum(tuple((cb * cc * cw, w) for cb, wb in _as_wordsum(b)
+                              for cc, wc in _as_wordsum(c)
+                              for cw, w in trace_bracket_symbolic(eng.m, wb, wc)))
+        if len(inner):
+            total += eng.trace_bracket_value(a, inner)
+    return complex(total)
 
 
 def test_jacobiator_trivial_and_random():
@@ -786,14 +807,14 @@ def test_jacobiator_trivial_and_random():
     eng = PointEngine(point, params)
     m = spec.m
     xw = cycle_power_sum("x", m, m)
-    assert abs(eng.jacobiator(xw, xw, xw)) < 1e-12
-    words = [x_power_word(2, m, 0), (("x", 0), ("y", 0)),
+    assert abs(jacobiator(eng, xw, xw, xw)) < 1e-12
+    words = [u_power_word("x", 2, m, 0), (("x", 0), ("y", 0)),
              (("w", 1), ("v", 1)), (("x", 1), ("y", 1), ("x", 0), ("y", 0))]
     scale = max(1.0, point.norm_scale() ** 8)
     for i in range(len(words)):
         for j in range(i, len(words)):
             for k in range(j, len(words)):
-                val = eng.jacobiator(words[i], words[j], words[k])
+                val = jacobiator(eng, words[i], words[j], words[k])
                 assert abs(val) < 1e-7 * scale
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinquiver import ModelSpec, check_regularity, derive_params, expected_dimension
+from spinquiver import ModelSpec, check_regularity, derive_params
 from spinquiver.errors import ZeroParameter
 
 
@@ -81,17 +81,6 @@ def test_regularity_near_unit_modulus_flagged():
     p = derive_params([np.exp(0.4j), np.exp(-0.1j)], n=2)
     res = check_regularity(p)
     assert res.unverifiable_beyond_k_max
-
-
-def test_expected_dimension_examples():
-    assert expected_dimension(ModelSpec(2, 2, 3)) == 12
-    assert expected_dimension(ModelSpec(1, 1, 1)) == 2
-    assert expected_dimension(ModelSpec(4, 3, 5)) == 30
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_expected_dimension_independent_of_m(m):
-    assert expected_dimension(ModelSpec(m, 2, 3)) == 12
 
 
 def test_model_spec_validation():

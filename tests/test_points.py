@@ -10,8 +10,8 @@ from spinquiver import (LocalCoordinates, ModelSpec, derive_params, gauge_act,
 import spinquiver
 from spinquiver.errors import (Degenerate, RegularityViolation, SamplingExhausted, SingularFactor,
                                SingularGauge, SingularX)
-from spinquiver.points import (CYCLE_DEGREE, RepPoint, cycle_matrix, cycle_period, inverse,
-                               point_with_cycle, quadruple_from_coordinates)
+from spinquiver.points import (CYCLE_DEGREE, RepPoint, ReducedQuadruple, cycle_matrix,
+                               cycle_period, inverse, point_with_cycle, quadruple_from_coordinates)
 
 from conftest import make_point, make_setup, reduced_quadruple_by_gauge
 
@@ -205,10 +205,19 @@ def test_reduced_quadruple_round_trip():
     assert np.linalg.norm(quad.bigC - coords.c) < 1e-9
 
 
+def diagonalize_quadruple(quad):
+    """Conjugate so A is diagonal with eigenvalues sorted lexicographically by (Re, Im)."""
+    vals, vecs = np.linalg.eig(quad.A)
+    order = np.lexsort((vals.imag, vals.real))
+    vals, vecs = vals[order], vecs[:, order]
+    vinv = inverse(vecs, SingularFactor, "the eigenvectors of A are not independent")
+    return ReducedQuadruple(A=np.diag(vals), B=vinv @ quad.B @ vecs,
+                            bigA=vinv @ quad.bigA, bigC=quad.bigC @ vecs)
+
+
 def test_reduced_quadruple_round_trip_after_gauge(rng):
     spec, params = make_setup(2, 2, 2)
     from spinquiver import random_coordinates
-    from spinquiver.points import diagonalize_quadruple
     coords = random_coordinates(spec, params, seed=2)
     point = point_from_coordinates(coords, params, spec)
     g = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2)]

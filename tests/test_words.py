@@ -1,15 +1,18 @@
+from fractions import Fraction
+
 import pytest
 
+from spinquiver.brackets import double_bracket
 from spinquiver.words import (WordSum, canonical_rotation, cycle_power_sum,
                               parse_word, simplify_word, spin_trace_word,
-                              u_power_word, word_to_text, x_power_word)
+                              u_power_word)
 from spinquiver.errors import WordTooLong
 
 
 def test_token_round_trip():
     word = parse_word("x0.y1.zi0.v1.w3.e0", m=2)
     assert word == (("x", 0), ("y", 1), ("zi", 0), ("v", 1), ("w", 3), ("e", 0))
-    assert word_to_text(word) == "x0.y1.zi0.v1.w3.e0"
+    assert ".".join(f"{kind}{idx}" for kind, idx in word) == "x0.y1.zi0.v1.w3.e0"
 
 
 def test_parse_einf():
@@ -19,7 +22,7 @@ def test_parse_einf():
 def test_power_words_composable():
     from spinquiver.words import word_tail_head
     m = 3
-    assert word_tail_head(x_power_word(6, m), m) == (0, 0)
+    assert word_tail_head(u_power_word("x", 6, m), m) == (0, 0)
     assert word_tail_head(u_power_word("z", 3, m, start=1), m) == (1, 1)
     assert word_tail_head(u_power_word("y", 2, m, start=0), m) == (0, 1)
 
@@ -65,6 +68,15 @@ def test_canonical_rotation():
         (("x", 1), ("y", 0), ("x", 0)))
 
 
+def test_wordsum_keeps_exact_coefficients():
+    # the sums start from the integer 0, so Fraction coefficients stay exact
+    w = (("x", 0), ("y", 0))
+    for ws in (WordSum(((Fraction(1, 3), w), (Fraction(1, 6), w))),
+               WordSum(((Fraction(1, 3), w), (Fraction(1, 6), (("e", 0),) + w))).canonicalized(1)):
+        assert ws.terms == ((Fraction(1, 2), w),)
+        assert isinstance(ws.terms[0][0], Fraction)
+
+
 def test_wordsum_cancellation():
     w = (("x", 0), ("x", 1))
     ws = WordSum(((0.5, w), (-0.5, w)))
@@ -84,5 +96,4 @@ def test_spin_trace_word_expansion_size():
 
 def test_word_cap():
     with pytest.raises(WordTooLong):
-        from spinquiver.words import concat
-        concat([("x", 0)] * 65)
+        double_bracket(1, [("x", 0)] * 65, [("x", 0)])
